@@ -15,7 +15,7 @@ use jportal_bytecode::Program;
 use jportal_cfg::abs::{AbstractNfa, DfaCacheStats};
 use jportal_cfg::{Icfg, MatchScratch, Sym};
 use jportal_corpus::{Corpus, CorpusBuilder};
-use jportal_ipt::{CollectedTraces, CollectionStats, ThreadId};
+use jportal_ipt::{CollectedTraces, CollectionStats, LossRecord, ThreadId};
 use jportal_jvm::MetadataArchive;
 use jportal_obs::{
     JournalEvent, Obs, ProfileConfig, Profiler, TelemetryConfig, TelemetryPlane, TelemetryReport,
@@ -25,7 +25,7 @@ use std::cell::RefCell;
 use crate::decode::decode_segment;
 use crate::quality::{FillQuality, QualityReport, ThreadQuality};
 use crate::reconstruct::{project_segment_with, ProjectionConfig, ProjectionStats};
-use crate::recover::{FillScratch, Recovery, RecoveryConfig, RecoveryStats, SegmentView};
+use crate::recover::{Fill, FillScratch, Recovery, RecoveryConfig, RecoveryStats, SegmentView};
 pub use crate::recover::{TraceEntry, TraceOrigin};
 use crate::threads::{segregate_with_stats, ThreadPiece};
 
@@ -57,10 +57,10 @@ pub struct JPortalConfig {
     /// call stack across seams instead of resetting it. Reconstructed
     /// timelines are **identical** with this on or off (the matcher
     /// filter is subsumed by the abstract filter; prefiltered recovery
-    /// candidates still rank exactly as before, they just skip the
-    /// speculative scoring work — see `Recovery::with_summaries`) — only
-    /// prune-rate diagnostics, journal decisions and lint precision
-    /// change. Off is the ablation baseline.
+    /// candidates still rank exactly as before, they just go unjournaled
+    /// — see `Recovery::with_summaries`) — only prune-rate diagnostics,
+    /// journal decisions and lint precision change. Off is the ablation
+    /// baseline.
     pub summaries: bool,
     /// Consult the persistent cross-run segment corpus (attached with
     /// [`JPortal::with_corpus_store`]) as a secondary recovery source:
@@ -73,9 +73,8 @@ pub struct JPortalConfig {
     /// `Some(1)` is the exact legacy sequential path (no threads spawned).
     ///
     /// The report is **identical for every setting** — parallel stages
-    /// reassemble their results in deterministic order and recovery's
-    /// parallel candidate scoring replays the sequential pruning decisions
-    /// exactly.
+    /// reassemble their results in deterministic order, and each hole's
+    /// fill depends only on the decoded segments, never on another fill.
     pub parallelism: Option<usize>,
     /// Record telemetry (metrics and spans) during analysis. Designed to
     /// be cheap enough to leave on in production: the hot matcher inner
@@ -411,11 +410,11 @@ impl<'p> JPortal<'p> {
     /// pair of the whole trace at once (one global work list, so a core
     /// never idles because "its" thread finished early), then per-thread
     /// assembly — compaction, recovery, entry emission — fans out across
-    /// threads. Recovery itself stays sequential over a thread's holes
-    /// (each fill extends the timeline the next hole's ranking reads) but
-    /// parallelizes candidate scoring internally. Results are reassembled
-    /// in deterministic order at every join, so the report is identical
-    /// for every worker count.
+    /// threads. Within a thread, recovery fans out over the holes: each
+    /// fill reads only the thread's decoded segments, so holes are
+    /// independent (§5 fills every hole from the run's complete
+    /// segments). Results are reassembled in deterministic order at
+    /// every join, so the report is identical for every worker count.
     pub fn analyze(&self, traces: &CollectedTraces, archive: &MetadataArchive) -> JPortalReport {
         self.analyze_impl(traces, archive, None)
     }
@@ -580,9 +579,9 @@ impl<'p> JPortal<'p> {
         self.tick_stage();
 
         // Level 2: per-thread assembly, fanned out across threads. When
-        // the thread fan-out already saturates the workers, recovery's
-        // inner candidate scoring stays sequential to avoid
-        // oversubscription; with few threads the idle workers go to it.
+        // the thread fan-out already saturates the workers, each thread
+        // fills its holes sequentially to avoid oversubscription; with
+        // few threads the idle workers fill holes in parallel.
         let inner_workers = if grouped.len() >= workers { 1 } else { workers };
         let harvesting = harvest.is_some();
         let assembled: Vec<(ThreadReport, ThreadQuality, Option<Vec<HarvestSeg>>)> =
@@ -703,9 +702,16 @@ impl<'p> JPortal<'p> {
         }
     }
 
-    /// Compacts one thread's projected segments, recovers across lossy
-    /// boundaries and emits the final timeline (sequential over holes by
-    /// construction: each fill's context feeds the next).
+    /// Compacts one thread's projected segments, fills every hole
+    /// across a lossy boundary and emits the final timeline.
+    ///
+    /// Holes fan out over `recovery_workers`: each fill reads only the
+    /// immutable compacted segments and the recovery index, never
+    /// another fill, so holes are independent. Every hole gets its own
+    /// journal recorder (its records are keyed by the hole's IS segment)
+    /// and its own statistics, merged in hole order, and emission walks
+    /// the fills in hole order — the report, the journal and the span
+    /// tree are identical at any worker count.
     fn assemble_thread(
         &self,
         thread: ThreadId,
@@ -715,7 +721,6 @@ impl<'p> JPortal<'p> {
         harvest: bool,
     ) -> (ThreadReport, ThreadQuality, Option<Vec<HarvestSeg>>) {
         let obs = &self.obs;
-        let mut recorder = obs.journal_recorder(thread.0);
         let _assemble = obs
             .span("recover", "assemble_thread")
             .parent("analyze")
@@ -736,61 +741,46 @@ impl<'p> JPortal<'p> {
             compacted.push(v);
         }
 
-        // Assemble the timeline, recovering across lossy boundaries.
+        // The thread's holes in timeline order, each as the index of the
+        // segment after it and its loss record.
+        let hole_posts: Vec<(usize, LossRecord)> = compacted
+            .iter()
+            .enumerate()
+            .skip(1)
+            .filter_map(|(i, v)| v.loss_before.map(|loss| (i, loss)))
+            .collect();
+        let holes: Vec<(u64, u64)> = hole_posts
+            .iter()
+            .map(|(_, loss)| (loss.first_ts, loss.last_ts))
+            .collect();
+        let fills = if self.config.disable_recovery || hole_posts.is_empty() {
+            Vec::new()
+        } else {
+            self.fill_holes(thread, &compacted, &hole_posts, recovery_workers)
+        };
+
+        // Emit the timeline: each hole's fill, then the segment after it.
         let mut recovery_stats = RecoveryStats::default();
-        let mut holes = Vec::new();
-        let mut recovery =
-            Recovery::new(self.program, &self.icfg, &compacted, self.config.recovery)
-                .with_workers(recovery_workers)
-                .with_dominators(&self.analysis);
-        if let Some(table) = self.summaries.as_ref() {
-            recovery = recovery.with_summaries(table);
-        }
-        if self.config.corpus {
-            if let Some(corpus) = self.corpus.as_deref() {
-                recovery = recovery.with_corpus(corpus);
-            }
-        }
         let mut entries: Vec<TraceEntry> = Vec::new();
         let mut steps: Vec<LintStep> = Vec::new();
-        let mut fills: Vec<FillQuality> = Vec::new();
-        // One walk scratch for all of this thread's holes.
-        let mut fill_scratch = FillScratch::new();
-        let fill_sketch = obs.registry().sketch("core.recover.fill_wall_us");
-        for i in 0..compacted.len() {
-            if i > 0 {
-                if let Some(loss) = compacted[i].loss_before {
-                    holes.push((loss.first_ts, loss.last_ts));
-                    if !self.config.disable_recovery {
-                        // Parent defaults to the enclosing
-                        // `assemble_thread` span via the worker's stack.
-                        let _fill = obs
-                            .span("recover", "fill_hole")
-                            .arg("thread", thread.0)
-                            .arg("hole", holes.len())
-                            .record_sketch(&fill_sketch);
-                        let fill = recovery.fill_hole_journaled(
-                            &compacted,
-                            i - 1,
-                            i,
-                            Some(loss),
-                            &mut recovery_stats,
-                            &mut fill_scratch,
-                            &mut recorder,
-                            holes.len() as u32,
-                        );
-                        fills.push(FillQuality {
-                            hole: holes.len(),
-                            origin: fill.entries.first().map(|e| e.origin),
-                            confidence: fill.confidence,
-                            entries: fill.entries.len(),
-                        });
-                        entries.extend(fill.entries);
-                        steps.extend(fill.steps);
-                    }
-                }
+        let mut quality: Vec<FillQuality> = Vec::with_capacity(fills.len());
+        let mut fills = hole_posts
+            .iter()
+            .map(|&(post, _)| post)
+            .zip(fills)
+            .peekable();
+        for (i, seg) in compacted.iter().enumerate() {
+            if let Some((_, (fill, stats))) = fills.next_if(|&(post, _)| post == i) {
+                recovery_stats.merge(&stats);
+                quality.push(FillQuality {
+                    hole: quality.len() + 1,
+                    origin: fill.entries.first().map(|e| e.origin),
+                    confidence: fill.confidence,
+                    entries: fill.entries.len(),
+                });
+                entries.extend(fill.entries);
+                steps.extend(fill.steps);
             }
-            let seg = &compacted[i];
             for (idx, (e, node)) in seg.events.iter().zip(&seg.nodes).enumerate() {
                 let (method, bci) = match node {
                     Some(n) => {
@@ -821,14 +811,11 @@ impl<'p> JPortal<'p> {
             }
         }
 
-        obs.registry()
-            .gauge("core.recover.fill_scratch_hw")
-            .set_max(fill_scratch.high_water() as u64);
-
         let lint = if self.config.lint {
             if obs.is_enabled() {
                 // Lint breaks go under the reserved segment key so they
                 // sort after every per-segment decision for the thread.
+                let mut recorder = obs.journal_recorder(thread.0);
                 recorder.set_segment(jportal_obs::journal::LINT_SEGMENT);
                 lint_steps_journaled(
                     self.program,
@@ -885,9 +872,72 @@ impl<'p> JPortal<'p> {
                 segments: compacted.len(),
                 lint,
             },
-            ThreadQuality { thread, fills },
+            ThreadQuality {
+                thread,
+                fills: quality,
+            },
             harvested,
         )
+    }
+
+    /// Fills the hole before `compacted[post]` for every `(post, loss)`
+    /// of `hole_posts`, fanned out over `workers`, and returns each
+    /// hole's fill with its own statistics, in hole order. The recovery
+    /// index over the thread's segments is built once, here, so threads
+    /// without a hole to fill never pay for it.
+    fn fill_holes(
+        &self,
+        thread: ThreadId,
+        compacted: &[SegmentView],
+        hole_posts: &[(usize, LossRecord)],
+        workers: usize,
+    ) -> Vec<(Fill, RecoveryStats)> {
+        // One walk scratch per worker thread, reused across every hole
+        // the worker claims (the `PROJ_SCRATCH` pattern).
+        thread_local! {
+            static FILL_SCRATCH: RefCell<FillScratch> = RefCell::new(FillScratch::new());
+        }
+        let obs = &self.obs;
+        let mut recovery = Recovery::new(self.program, &self.icfg, compacted, self.config.recovery)
+            .with_dominators(&self.analysis);
+        if let Some(table) = self.summaries.as_ref() {
+            recovery = recovery.with_summaries(table);
+        }
+        if self.config.corpus {
+            if let Some(corpus) = self.corpus.as_deref() {
+                recovery = recovery.with_corpus(corpus);
+            }
+        }
+        let fill_sketch = obs.registry().sketch("core.recover.fill_wall_us");
+        let scratch_hw = obs.registry().gauge("core.recover.fill_scratch_hw");
+        jportal_par::par_map(workers, hole_posts, |h, &(post, loss)| {
+            let hole = h + 1;
+            // Worker threads start with an empty span stack, so the
+            // parent is pinned explicitly.
+            let _fill = obs
+                .span("recover", "fill_hole")
+                .parent("assemble_thread")
+                .arg("thread", thread.0)
+                .arg("hole", hole)
+                .record_sketch(&fill_sketch);
+            let mut recorder = obs.journal_recorder(thread.0);
+            let mut stats = RecoveryStats::default();
+            FILL_SCRATCH.with(|s| {
+                let mut scratch = s.borrow_mut();
+                let fill = recovery.fill_hole_journaled(
+                    compacted,
+                    post - 1,
+                    post,
+                    Some(loss),
+                    &mut stats,
+                    &mut scratch,
+                    &mut recorder,
+                    hole as u32,
+                );
+                scratch_hw.set_max(scratch.high_water() as u64);
+                (fill, stats)
+            })
+        })
     }
 }
 

@@ -147,10 +147,9 @@ pub struct RecoveryStats {
     /// against the per-segment op-kind position index), so it can never
     /// be chosen as the fill. Pruned candidates still run through the
     /// search gates and ranking — which keeps the chosen fill identical
-    /// to a run without the prefilter — but skip the parallel path's
-    /// speculative tier scans and all per-candidate journaling. Not
-    /// counted in [`RecoveryStats::candidates`] (nor in the tier-prune
-    /// tallies).
+    /// to a run without the prefilter — but skip all per-candidate
+    /// journaling. Not counted in [`RecoveryStats::candidates`] (nor in
+    /// the tier-prune tallies).
     pub summary_pruned: usize,
     /// Fallback ICFG walks attempted (successful or not); always ≥
     /// [`RecoveryStats::filled_by_walk`].
@@ -423,6 +422,17 @@ impl IndexedSegment {
 /// last symbol sits at `offset` (inclusive) in that segment.
 type Candidate = (usize, usize);
 
+/// Inserts `entry` into `best`, kept sorted by descending score, after
+/// every entry with an equal score (ties keep arrival order), and keeps
+/// at most `top_n` entries — the top-N list of Algorithms 3 and 4.
+fn push_ranked(best: &mut Vec<(Candidate, usize)>, entry: (Candidate, usize), top_n: usize) {
+    let pos = best.partition_point(|&(_, score)| score >= entry.1);
+    if pos < top_n {
+        best.insert(pos, entry);
+        best.truncate(top_n);
+    }
+}
+
 /// Per-hole confirm-window context handed to the summary prefilter: the
 /// post-hole window the winning fill must reproduce and the hole's
 /// timestamp budget (both exactly as the confirm scan will use them).
@@ -458,7 +468,7 @@ impl AnchorKey {
 }
 
 /// Reusable buffers for [`Recovery::fill_hole_with`]: the fallback walk's
-/// BFS parent map and queue, reused across a thread's holes.
+/// BFS parent map and queue, reused across every hole one worker fills.
 #[derive(Debug, Default)]
 pub struct FillScratch {
     parent: FxHashMap<NodeId, NodeId>,
@@ -475,16 +485,11 @@ impl FillScratch {
     }
 
     /// Capacity high-water mark (BFS parent-map plus queue slots), read
-    /// into a telemetry gauge after a thread's holes are filled.
+    /// into a telemetry gauge after each fill.
     pub fn high_water(&self) -> usize {
         self.parent.capacity() + self.queue.capacity()
     }
 }
-
-/// Below this many candidates the parallel scoring path is pure
-/// overhead: thread spawn plus the speculative (uncapped) suffix work
-/// costs more than the sequential scan saves.
-const PAR_CANDIDATES_MIN: usize = 48;
 
 /// Per-hole cap on individually-journaled candidate events. Busy anchors
 /// can have thousands of candidates; journaling the first few dozen
@@ -494,9 +499,9 @@ const PAR_CANDIDATES_MIN: usize = 48;
 const JOURNAL_CANDIDATES_MAX: u32 = 32;
 
 /// Capped per-hole emitter of [`JournalEvent::CandidateConsidered`]
-/// events. Emission happens only in the sequential scan or the
-/// sequential pruning replay — never inside a parallel fan-out — so the
-/// event stream is the same at any worker count.
+/// events. A hole's candidates are scanned sequentially, in index
+/// order, so the event stream is the same at any worker count even
+/// when different holes fill on different workers.
 struct CandidateJournal<'r, 'j> {
     rec: Option<&'r mut JournalRecorder<'j>>,
     hole: u32,
@@ -551,8 +556,6 @@ pub struct Recovery<'a> {
     program: &'a Program,
     icfg: &'a Icfg,
     cfg: RecoveryConfig,
-    /// Worker threads for candidate scoring (1 = fully sequential).
-    workers: usize,
     /// Per-method dominator facts for anchor ranking (optional).
     doms: Option<&'a AnalysisIndex>,
     /// Interprocedural method summaries for candidate prefiltering
@@ -591,7 +594,6 @@ impl<'a> Recovery<'a> {
             program,
             icfg,
             cfg,
-            workers: 1,
             doms: None,
             summaries: None,
             corpus: None,
@@ -627,13 +629,11 @@ impl<'a> Recovery<'a> {
         self
     }
 
-    /// Sets the worker count for candidate scoring. The ranking (and the
-    /// statistics) are byte-identical at any worker count: the parallel
-    /// path speculatively computes every candidate's tier suffixes and
-    /// then replays the sequential pruning decisions over the
-    /// pre-computed scores.
-    pub fn with_workers(mut self, workers: usize) -> Recovery<'a> {
-        self.workers = workers.max(1);
+    /// Kept for source compatibility; has no effect. Candidate scoring
+    /// is sequential within a hole: the parallelism of recovery is over
+    /// holes, which are independent and fill through `&self` (see
+    /// `JPortal::analyze`).
+    pub fn with_workers(self, _workers: usize) -> Recovery<'a> {
         self
     }
 
@@ -645,9 +645,9 @@ impl<'a> Recovery<'a> {
     /// and pruned candidates still flow through Algorithm 4's gates and
     /// ranking unchanged (see [`Recovery::search_abstraction`]), so
     /// reconstructed timelines are identical with the prefilter on or
-    /// off; what pruning buys is the skipped speculative tier scans in
-    /// the parallel path, the journal-noise reduction, and the
-    /// `summary_pruned` diagnostics.
+    /// off; what pruning buys is a shorter journal (pruned candidates
+    /// emit no per-candidate events) and the `summary_pruned`
+    /// diagnostics. It saves no scoring work.
     ///
     /// Method-identity-based pruning (matching the candidate's located
     /// method against the IS's) was deliberately rejected: a projection
@@ -670,39 +670,42 @@ impl<'a> Recovery<'a> {
     /// confirm for the hole described by `ctx` (pruned counts land in
     /// [`RecoveryStats::summary_pruned`], not in
     /// [`RecoveryStats::candidates`]).
-    fn candidates(
-        &self,
+    ///
+    /// Streams over the anchor index's slice in index order — busy
+    /// anchors have thousands of positions, and most candidates die at
+    /// the first tier test, so nothing is collected.
+    fn candidates<'s>(
+        &'s self,
         is_seg: usize,
-        anchor: &[Sym],
-        ctx: Option<&ConfirmCtx<'_>>,
-    ) -> Vec<(Candidate, bool)> {
-        let key = AnchorKey::of(anchor);
+        anchor: &'s [Sym],
+        ctx: Option<&'s ConfirmCtx<'_>>,
+    ) -> impl Iterator<Item = (Candidate, bool)> + 's {
         let is_end = self.indexed[is_seg].syms.len() - 1;
-        self.anchor_index
-            .get(&key)
-            .map(|v| {
-                v.iter()
-                    .copied()
-                    // The IS's own tail is not a usable CS for itself.
-                    .filter(|&(si, end)| !(si == is_seg && end == is_end))
-                    // Hashed long-anchor keys can collide: verify the
-                    // candidate's op window (≤ 8 op keys are exact).
-                    .filter(|&(si, end)| {
-                        anchor.len() <= 8
-                            || anchor.iter().enumerate().all(|(k, a)| {
-                                self.indexed[si].syms[end + 1 - anchor.len() + k].op == a.op
-                            })
-                    })
-                    .map(|cand| {
-                        let dead = match ctx {
-                            Some(c) if self.summaries.is_some() => !self.can_confirm(cand, c),
-                            _ => false,
-                        };
-                        (cand, dead)
-                    })
-                    .collect()
+        let positions = self
+            .anchor_index
+            .get(&AnchorKey::of(anchor))
+            .map_or(&[][..], Vec::as_slice);
+        positions
+            .iter()
+            .copied()
+            // The IS's own tail is not a usable CS for itself.
+            .filter(move |&(si, end)| !(si == is_seg && end == is_end))
+            // Hashed long-anchor keys can collide: verify the
+            // candidate's op window (≤ 8 op keys are exact).
+            .filter(move |&(si, end)| {
+                anchor.len() <= 8
+                    || anchor
+                        .iter()
+                        .enumerate()
+                        .all(|(k, a)| self.indexed[si].syms[end + 1 - anchor.len() + k].op == a.op)
             })
-            .unwrap_or_default()
+            .map(move |cand| {
+                let dead = match ctx {
+                    Some(c) if self.summaries.is_some() => !self.can_confirm(cand, c),
+                    _ => false,
+                };
+                (cand, dead)
+            })
     }
 
     /// `true` unless candidate `(si, end)`'s suffix provably contains no
@@ -754,10 +757,7 @@ impl<'a> Recovery<'a> {
     }
 
     /// **Algorithm 3**: naive CS search — full concrete comparison per
-    /// candidate. The per-candidate comparisons are independent, so they
-    /// fan out over the engine's workers; a stable sort over the
-    /// order-preserving result keeps the ranking identical to the
-    /// sequential scan.
+    /// candidate, keeping the `top_n` best (ties keep index order).
     pub fn search_naive(
         &self,
         is_seg: usize,
@@ -778,53 +778,35 @@ impl<'a> Recovery<'a> {
             return Vec::new();
         }
         let anchor = &is.syms[is.syms.len() - self.cfg.anchor_len..];
-        let cands = self.candidates(is_seg, anchor, ctx);
-        let workers = if cands.len() >= PAR_CANDIDATES_MIN {
-            self.workers
-        } else {
-            1
-        };
-        let mut scored: Vec<((Candidate, bool), usize)> =
-            jportal_par::par_map(workers, &cands, |_, &(cand, dead)| {
-                let (si, end) = cand;
-                let m3 = is.tier_suffix(
-                    is.syms.len(),
-                    &self.indexed[si],
-                    end + 1,
-                    Tier::Concrete,
-                    usize::MAX,
-                );
-                ((cand, dead), m3)
-            });
-        // Journal after the join, in candidate order — the event stream
-        // never depends on worker scheduling. Prefilter-pruned
-        // candidates keep their score (the ranking must be identical
-        // with the prefilter off) but are not journaled individually.
-        for (rank, &((cand, dead), score)) in scored.iter().enumerate() {
+        let mut best: Vec<(Candidate, usize)> = Vec::new();
+        for (rank, (cand, dead)) in self.candidates(is_seg, anchor, ctx).enumerate() {
+            let (si, end) = cand;
+            let score = is.tier_suffix(
+                is.syms.len(),
+                &self.indexed[si],
+                end + 1,
+                Tier::Concrete,
+                usize::MAX,
+            );
+            // Prefilter-pruned candidates keep their score (the ranking
+            // must be identical with the prefilter off) but are not
+            // journaled individually.
             if dead {
                 stats.summary_pruned += 1;
             } else {
                 stats.candidates += 1;
                 journal.consider(rank as u32, cand, CandidateOutcome::Scored, score);
             }
+            push_ranked(&mut best, (cand, score), self.cfg.top_n);
         }
-        scored.sort_by_key(|&(_, score)| std::cmp::Reverse(score));
-        scored.truncate(self.cfg.top_n);
-        scored.into_iter().map(|((c, _), s)| (c, s)).collect()
+        best
     }
 
     /// **Algorithm 4**: abstraction-guided CS search with tier-1/tier-2
-    /// pruning (Theorem 5.5).
-    ///
-    /// With `workers > 1` and enough candidates, scoring is speculative:
-    /// every candidate's three tier suffixes are computed uncapped in
-    /// parallel, then the sequential pruning decisions are **replayed**
-    /// over the pre-computed scores. The replay reproduces the sequential
-    /// path's capped measurements (`min(suffix, mₗ + 64)`) and running
-    /// maxima exactly, so the ranking and every statistic are
-    /// byte-identical to the sequential scan — the speculative extra work
-    /// is what buys the wall-clock parallelism (cf. Theorem 5.5: a capped
-    /// tier-l measurement only ever prunes candidates that cannot win).
+    /// pruning (Theorem 5.5): once the top-N list is full, a candidate
+    /// is dropped as soon as its cheap capped tier-1 or tier-2 suffix
+    /// falls below that of the best candidate so far, before any
+    /// concrete work.
     pub fn search_abstraction(
         &self,
         is_seg: usize,
@@ -837,12 +819,9 @@ impl<'a> Recovery<'a> {
     /// same gates, maxima updates and ranking as live ones — the ranked
     /// list (and therefore the chosen fill) is identical with the
     /// prefilter on or off by construction, not by a theorem about what
-    /// pruning may drop. What they skip: the speculative *uncapped*
-    /// tier-1/tier-2 suffix scans of the parallel path (their capped
-    /// values are computed lazily during the sequential replay, which
-    /// yields bit-identical measurements) and all per-candidate journal
-    /// events; they are tallied as [`RecoveryStats::summary_pruned`]
-    /// instead of [`RecoveryStats::candidates`].
+    /// pruning may drop. They only skip the per-candidate journal events
+    /// and are tallied as [`RecoveryStats::summary_pruned`] instead of
+    /// [`RecoveryStats::candidates`].
     fn search_abstraction_journaled(
         &self,
         is_seg: usize,
@@ -855,95 +834,11 @@ impl<'a> Recovery<'a> {
             return Vec::new();
         }
         let anchor = &is.syms[is.syms.len() - self.cfg.anchor_len..];
-        let cands = self.candidates(is_seg, anchor, ctx);
-
-        if self.workers > 1 && cands.len() >= PAR_CANDIDATES_MIN {
-            // Speculative parallel scoring: uncapped suffixes for live
-            // candidates; pruned ones only need the concrete tier.
-            let scores: Vec<(usize, usize, usize)> =
-                jportal_par::par_map(self.workers, &cands, |_, &((si, end), dead)| {
-                    let cs = &self.indexed[si];
-                    let s3 = is.tier_suffix(is.syms.len(), cs, end + 1, Tier::Concrete, usize::MAX);
-                    if dead {
-                        (0, 0, s3)
-                    } else {
-                        (
-                            is.tier_suffix(
-                                is.syms.len(),
-                                cs,
-                                end + 1,
-                                Tier::CallStructure,
-                                usize::MAX,
-                            ),
-                            is.tier_suffix(is.syms.len(), cs, end + 1, Tier::Control, usize::MAX),
-                            s3,
-                        )
-                    }
-                });
-            // Sequential replay of the pruning decisions. The journal
-            // emits here (not in the fan-out above): the replay reproduces
-            // the sequential path's capped measurements exactly, so the
-            // events are identical to the sequential scan's.
-            let mut best: Vec<(Candidate, usize)> = Vec::new();
-            let (mut m1, mut m2, mut m3) = (0usize, 0usize, 0usize);
-            for (rank, (&(cand, dead), &(s1, s2, s3))) in cands.iter().zip(&scores).enumerate() {
-                let (si, end) = cand;
-                let cs = &self.indexed[si];
-                if dead {
-                    stats.summary_pruned += 1;
-                } else {
-                    stats.candidates += 1;
-                }
-                let full = self.cfg.top_n > best.len();
-                // Dead candidates skipped the speculative tier-1/tier-2
-                // scans; measure their capped suffixes here so the gate
-                // decisions (and the maxima they feed) match the
-                // prefilter-off run bit for bit.
-                let ml1 = if dead {
-                    is.tier_suffix(is.syms.len(), cs, end + 1, Tier::CallStructure, m1 + 64)
-                } else {
-                    s1.min(m1 + 64)
-                };
-                if !full && ml1 < m1 {
-                    if !dead {
-                        stats.pruned_tier1 += 1;
-                        journal.consider(rank as u32, cand, CandidateOutcome::PrunedTier1, ml1);
-                    }
-                    continue;
-                }
-                let ml2 = if dead {
-                    is.tier_suffix(is.syms.len(), cs, end + 1, Tier::Control, m2 + 64)
-                } else {
-                    s2.min(m2 + 64)
-                };
-                if !full && ml2 < m2 {
-                    if !dead {
-                        stats.pruned_tier2 += 1;
-                        journal.consider(rank as u32, cand, CandidateOutcome::PrunedTier2, ml2);
-                    }
-                    continue;
-                }
-                let ml3 = s3;
-                if ml3 >= m3 {
-                    m3 = ml3;
-                    m1 = ml1;
-                    m2 = ml2;
-                }
-                if !dead {
-                    journal.consider(rank as u32, cand, CandidateOutcome::Scored, ml3);
-                }
-                best.push((cand, ml3));
-                best.sort_by_key(|&(_, score)| std::cmp::Reverse(score));
-                best.truncate(self.cfg.top_n);
-            }
-            return best;
-        }
-
         let mut best: Vec<(Candidate, usize)> = Vec::new();
         // Running maxima ⟨m1, m2, m3⟩ of Algorithm 4; pruning compares
         // against the weakest kept candidate when the list is full.
         let (mut m1, mut m2, mut m3) = (0usize, 0usize, 0usize);
-        for (rank, (cand, dead)) in cands.into_iter().enumerate() {
+        for (rank, (cand, dead)) in self.candidates(is_seg, anchor, ctx).enumerate() {
             let (si, end) = cand;
             let cs = &self.indexed[si];
             if dead {
@@ -978,9 +873,7 @@ impl<'a> Recovery<'a> {
             if !dead {
                 journal.consider(rank as u32, cand, CandidateOutcome::Scored, ml3);
             }
-            best.push((cand, ml3));
-            best.sort_by_key(|&(_, score)| std::cmp::Reverse(score));
-            best.truncate(self.cfg.top_n);
+            push_ranked(&mut best, (cand, ml3), self.cfg.top_n);
         }
         best
     }

@@ -128,10 +128,18 @@ pub fn segregate_with_stats(
     (per_thread, stats)
 }
 
+/// The thread scheduled at `ts` among one core's `intervals`.
+///
+/// [`schedule_intervals`] emits intervals in the order of the core's
+/// timestamp-sorted records, so their starts never decrease and each one
+/// ends at or before the next one starts (some are empty). Only the last
+/// interval starting at or before `ts` can therefore contain it, and a
+/// binary search finds it.
 fn owner_at(intervals: &[(ThreadId, u64, u64)], ts: u64) -> Option<ThreadId> {
-    intervals
-        .iter()
-        .find(|&&(_, start, end)| start <= ts && ts < end)
+    let starting_before = intervals.partition_point(|&(_, start, _)| start <= ts);
+    intervals[..starting_before]
+        .last()
+        .filter(|&&(_, _, end)| ts < end)
         .map(|&(t, _, _)| t)
         // Packets after the last recorded interval belong to its thread.
         .or_else(|| {
@@ -147,7 +155,9 @@ mod tests {
     use super::*;
     use jportal_bytecode::builder::ProgramBuilder;
     use jportal_bytecode::{CmpKind, Instruction as I};
+    use jportal_ipt::SidebandRecord;
     use jportal_jvm::runtime::{Jvm, JvmConfig, ThreadSpec};
+    use proptest::prelude::*;
 
     fn loopy() -> jportal_bytecode::Program {
         let mut pb = ProgramBuilder::new();
@@ -268,6 +278,71 @@ mod tests {
         );
     }
 
+    /// The linear scan `owner_at` replaced, kept as its oracle.
+    fn owner_at_linear(intervals: &[(ThreadId, u64, u64)], ts: u64) -> Option<ThreadId> {
+        intervals
+            .iter()
+            .find(|&&(_, start, end)| start <= ts && ts < end)
+            .map(|&(t, _, _)| t)
+            .or_else(|| {
+                intervals
+                    .last()
+                    .filter(|&&(_, _, end)| ts >= end)
+                    .map(|&(t, _, _)| t)
+            })
+    }
+
+    /// One random sideband record: a switch-in or switch-out of one of
+    /// four threads on one of three cores, at one of few timestamps (so
+    /// duplicates and zero-length intervals are common). Switch-outs
+    /// name a random thread, so many are mismatched.
+    fn sideband_record() -> impl Strategy<Value = SidebandRecord> {
+        (0u32..3, 0u32..4, 0u64..64, any::<bool>()).prop_map(|(core, t, ts, switch_in)| {
+            let thread = ThreadId(t);
+            if switch_in {
+                SidebandRecord::SwitchIn { core, thread, ts }
+            } else {
+                SidebandRecord::SwitchOut { core, thread, ts }
+            }
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The binary-searched lookup is exact for any sideband stream:
+        /// every core's intervals are sorted by start and disjoint, and
+        /// both lookups agree at random timestamps and at every interval
+        /// edge, including before the first interval and after the last
+        /// (`end_of_time` may even precede the last switch-in, as an
+        /// untrusted trace allows).
+        #[test]
+        fn owner_lookup_matches_linear_scan(
+            records in prop::collection::vec(sideband_record(), 0..40),
+            end_of_time in 0u64..80,
+            probes in prop::collection::vec(0u64..96, 32),
+        ) {
+            for core in 0..3 {
+                let iv = schedule_intervals(&records, core, end_of_time);
+                for pair in iv.windows(2) {
+                    let ((_, s0, e0), (_, s1, _)) = (pair[0], pair[1]);
+                    prop_assert!(s0 <= e0 && e0 <= s1, "not sorted and disjoint: {iv:?}");
+                }
+                // Random probes plus every interval's edges.
+                let edges = iv.iter().flat_map(|&(_, s, e)| {
+                    [s.saturating_sub(1), s, e.saturating_sub(1), e, e + 1]
+                });
+                for ts in probes.iter().copied().chain(edges) {
+                    prop_assert_eq!(
+                        owner_at(&iv, ts),
+                        owner_at_linear(&iv, ts),
+                        "core {} at ts {} over {:?}", core, ts, iv
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn owner_lookup_semantics() {
         let iv = vec![(ThreadId(1), 10, 20), (ThreadId(2), 20, 30)];
@@ -276,5 +351,10 @@ mod tests {
         assert_eq!(owner_at(&iv, 19), Some(ThreadId(1)));
         assert_eq!(owner_at(&iv, 20), Some(ThreadId(2)));
         assert_eq!(owner_at(&iv, 99), Some(ThreadId(2)), "tail belongs to last");
+        // Zero-length and duplicate-start intervals: the non-empty one
+        // starting at the same timestamp owns it.
+        let iv = vec![(ThreadId(1), 10, 10), (ThreadId(2), 10, 20)];
+        assert_eq!(owner_at(&iv, 10), Some(ThreadId(2)));
+        assert_eq!(owner_at(&iv, 9), None);
     }
 }
