@@ -2,19 +2,18 @@
 //!
 //! [`SummaryTable`] combines the intra-method facts of
 //! [`crate::summary`] with the ICFG's call edges (already RTA-refined
-//! when the pipeline devirtualizes) into whole-program queries:
+//! when the pipeline devirtualizes) into the whole-program queries the
+//! trace-feasibility linter's interprocedural mode asks:
 //!
-//! * **callee reach** — which methods can (transitively) be on the call
-//!   stack below a frame of `m`;
-//! * **call depth** — how much deeper than `m`'s own frame the stack
-//!   can grow (`None` for recursive call chains);
 //! * **summary-equality classes** — methods whose instruction streams
 //!   are op-kind-identical are indistinguishable to the opcode-granular
-//!   decoder, so every consumer that asks "could the trace be in `m`?"
+//!   decoder, so every check that asks "could the trace be in `m`?"
 //!   must accept any member of `m`'s class. Queries here are therefore
-//!   phrased over classes, never raw ids, which is what makes the
-//!   pruning **empirically lossless**: a pruned candidate can never be
-//!   one the opcode-blind matcher might have picked.
+//!   phrased over classes, never raw ids: a relocated window can never
+//!   make the linter flag a method the decoder might have confused
+//!   with the right one;
+//! * **class-level callee reach** — whether a frame of `m` can
+//!   (transitively) have a frame of some member of a class below it.
 //!
 //! The table is deterministic (fixed iteration orders, first-seen class
 //! numbering) and immutable after [`SummaryTable::build`]; the pipeline
@@ -75,9 +74,6 @@ impl BitRows {
 #[derive(Debug, Clone)]
 pub struct SummaryTable {
     summaries: Vec<MethodSummary>,
-    callees: Vec<Vec<MethodId>>,
-    /// Transitive callee reach, non-reflexive, over method ids.
-    reach: BitRows,
     /// Summary-equality class per method (first-seen numbering).
     class_of: Vec<u32>,
     /// Per-method class closure: bit `c` set iff some method of class
@@ -85,13 +81,6 @@ pub struct SummaryTable {
     class_reach: BitRows,
     /// Members per summary-equality class.
     class_size: Vec<u32>,
-    call_depth: Vec<Option<u32>>,
-    /// Per-method: `true` when the ICFG has an edge out of the method
-    /// from a **non-control** node (an exception edge escaping to a
-    /// caller's handler). Such an edge is an ε-transition of the
-    /// abstract NFA — a run can leave the method without consuming any
-    /// call/return/throw symbol, so op-alphabet pruning is unsound there.
-    eps_escape: Vec<bool>,
 }
 
 impl SummaryTable {
@@ -170,37 +159,11 @@ impl SummaryTable {
             }
         }
 
-        let mut call_depth = vec![DepthMark::Unvisited; n];
-        let mut depths = vec![None; n];
-        for m in 0..n {
-            depth_of(m, &callees, &mut call_depth, &mut depths);
-        }
-
-        // Silent ε-escapes: inter-method edges out of non-control nodes
-        // (escaping exception edges). Control-node departures always
-        // consume a call/return/throw symbol, so they are visible to the
-        // window analysis; these are not.
-        let mut eps_escape = vec![false; n];
-        for node in icfg.nodes() {
-            let (m, bci) = icfg.location(node);
-            let op = program.method(m).insn(bci).op_kind();
-            if jportal_cfg::Tier::of_op(op) != jportal_cfg::Tier::Concrete {
-                continue;
-            }
-            if icfg.edges(node).iter().any(|e| icfg.method_of(e.to) != m) {
-                eps_escape[m.index()] = true;
-            }
-        }
-
         SummaryTable {
             summaries,
-            callees,
-            reach,
             class_of,
             class_reach,
             class_size,
-            call_depth: depths,
-            eps_escape,
         }
     }
 
@@ -209,27 +172,16 @@ impl SummaryTable {
         &self.summaries[m.index()]
     }
 
-    /// Direct callees of `m` (sorted, deduplicated).
-    pub fn callees(&self, m: MethodId) -> &[MethodId] {
-        &self.callees[m.index()]
-    }
-
     /// `true` if `a` and `b` are the same method or op-kind-identical
     /// (the opcode-granular decoder cannot tell them apart).
     pub fn compatible(&self, a: MethodId, b: MethodId) -> bool {
         a == b || self.class_of[a.index()] == self.class_of[b.index()]
     }
 
-    /// `true` if a frame of `from` can transitively have a frame of
-    /// `to` below it (non-reflexive unless `from` is recursive).
-    pub fn reaches(&self, from: MethodId, to: MethodId) -> bool {
-        self.reach.get(from.index(), to.index())
-    }
-
-    /// Class-level reach: `true` if `{from} ∪ reach(from)` contains a
-    /// method op-kind-identical to `to`. This is the query consumers
-    /// use — it stays `true` for every method the decoder might have
-    /// confused with a genuinely reachable one.
+    /// Class-level reach: `true` if `from` or a method a frame of `from`
+    /// can transitively call is op-kind-identical to `to`. It stays
+    /// `true` for every method the decoder might have confused with a
+    /// genuinely reachable one.
     pub fn class_reaches(&self, from: MethodId, to: MethodId) -> bool {
         self.class_reach
             .get(from.index(), self.class_of[to.index()] as usize)
@@ -244,62 +196,11 @@ impl SummaryTable {
         self.class_size[self.class_of[m.index()] as usize] == 1
     }
 
-    /// Maximum call-stack growth below a frame of `m`: `Some(0)` for a
-    /// leaf, `1 + max(callee depths)` otherwise, `None` when a
-    /// recursive cycle makes the depth unbounded.
-    pub fn call_depth(&self, m: MethodId) -> Option<u32> {
-        self.call_depth[m.index()]
-    }
-
     /// The statically forced direction of the conditional branch at
     /// `(m, bci)`, if the intra-method pass proved one.
     pub fn forced_dir(&self, m: MethodId, bci: Bci) -> Option<BranchDir> {
         self.summaries[m.index()].forced_dir(bci)
     }
-
-    /// `true` when an abstract-NFA run can leave `m` without consuming a
-    /// call/return/throw symbol (an escaping exception edge out of a
-    /// non-control node). Candidates in such methods must never be
-    /// pruned by [`crate::summary::required_window_ops`].
-    pub fn eps_escapes(&self, m: MethodId) -> bool {
-        self.eps_escape[m.index()]
-    }
-}
-
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum DepthMark {
-    Unvisited,
-    OnStack,
-    Done,
-}
-
-fn depth_of(
-    m: usize,
-    callees: &[Vec<MethodId>],
-    marks: &mut Vec<DepthMark>,
-    depths: &mut Vec<Option<u32>>,
-) -> Option<u32> {
-    match marks[m] {
-        DepthMark::Done => return depths[m],
-        // A back edge: the chain through `m` is unbounded.
-        DepthMark::OnStack => return None,
-        DepthMark::Unvisited => {}
-    }
-    marks[m] = DepthMark::OnStack;
-    let mut depth = Some(0u32);
-    for c in &callees[m] {
-        match depth_of(c.index(), callees, marks, depths) {
-            None => depth = None,
-            Some(d) => {
-                if let Some(cur) = depth {
-                    depth = Some(cur.max(d + 1));
-                }
-            }
-        }
-    }
-    marks[m] = DepthMark::Done;
-    depths[m] = depth;
-    depth
 }
 
 #[cfg(test)]
@@ -336,16 +237,14 @@ mod tests {
     }
 
     #[test]
-    fn reach_is_transitive_and_non_reflexive() {
-        let (p, icfg, [leaf, twin, mid, main]) = diamond();
+    fn class_reach_is_transitive_and_directed() {
+        let (p, icfg, [leaf, _twin, mid, main]) = diamond();
         let t = SummaryTable::build(&p, &icfg);
-        assert!(t.reaches(main, mid));
-        assert!(t.reaches(main, leaf), "transitive");
-        assert!(t.reaches(mid, leaf));
-        assert!(!t.reaches(leaf, main));
-        assert!(!t.reaches(main, main), "non-reflexive without recursion");
-        assert!(!t.reaches(main, twin), "twin is never called");
-        assert_eq!(t.callees(main), &[mid]);
+        assert!(t.class_reaches(main, mid));
+        assert!(t.class_reaches(main, leaf), "transitive");
+        assert!(t.class_reaches(mid, leaf));
+        assert!(!t.class_reaches(leaf, main));
+        assert!(!t.class_reaches(mid, main));
     }
 
     #[test]
@@ -363,17 +262,7 @@ mod tests {
     }
 
     #[test]
-    fn call_depth_counts_chain_height() {
-        let (p, icfg, [leaf, twin, mid, main]) = diamond();
-        let t = SummaryTable::build(&p, &icfg);
-        assert_eq!(t.call_depth(leaf), Some(0));
-        assert_eq!(t.call_depth(twin), Some(0));
-        assert_eq!(t.call_depth(mid), Some(1));
-        assert_eq!(t.call_depth(main), Some(2));
-    }
-
-    #[test]
-    fn recursion_is_unbounded_depth_and_reflexive_reach() {
+    fn class_reach_terminates_on_recursion() {
         let mut pb = ProgramBuilder::new();
         let c = pb.add_class("C", None, 0);
         let mut r = pb.method(c, "rec", 1, false);
@@ -393,52 +282,9 @@ mod tests {
         let p = pb.finish_with_entry(main).unwrap();
         let icfg = Icfg::build(&p);
         let t = SummaryTable::build(&p, &icfg);
-        assert_eq!(t.call_depth(rec), None);
-        assert_eq!(t.call_depth(main), None, "recursion below propagates");
-        assert!(t.reaches(rec, rec), "self-loop makes reach reflexive");
-        assert!(t.reaches(main, rec));
-    }
-
-    #[test]
-    fn eps_escape_flags_uncaught_division_with_caller_handler() {
-        // `div` divides without a local handler; `main` wraps the call
-        // site in one, so the ICFG routes the division's exception edge
-        // out of `div` into `main` — a silent ε-escape for `div`.
-        let mut pb = ProgramBuilder::new();
-        let c = pb.add_class("C", None, 0);
-        let boom = pb.add_class("Boom", None, 0);
-        let mut d = pb.method(c, "div", 2, true);
-        d.emit(I::Iload(0)); // 0
-        d.emit(I::Iload(1)); // 1
-        d.emit(I::Idiv); // 2: may throw, uncaught here
-        d.emit(I::Ireturn); // 3
-        let div = d.finish();
-        let mut m = pb.method(c, "main", 0, false);
-        let handler = m.label();
-        m.emit(I::Iconst(8)); // 0
-        m.emit(I::Iconst(0)); // 1
-        m.emit(I::InvokeStatic(div)); // 2
-        m.emit(I::Pop); // 3
-        m.emit(I::Return); // 4
-        m.bind(handler);
-        m.emit(I::Pop); // 5
-        m.emit(I::Return); // 6
-        m.add_handler(Bci(2), Bci(3), handler, Some(boom));
-        let main = m.finish();
-        let p = pb.finish_with_entry(main).unwrap();
-        let icfg = Icfg::build(&p);
-        let t = SummaryTable::build(&p, &icfg);
-        assert!(t.eps_escapes(div));
-        assert!(!t.eps_escapes(main));
-    }
-
-    #[test]
-    fn diamond_has_no_eps_escapes() {
-        let (p, icfg, [leaf, twin, mid, main]) = diamond();
-        let t = SummaryTable::build(&p, &icfg);
-        for m in [leaf, twin, mid, main] {
-            assert!(!t.eps_escapes(m));
-        }
+        assert!(t.class_reaches(rec, rec));
+        assert!(t.class_reaches(main, rec));
+        assert!(!t.class_reaches(rec, main));
     }
 
     #[test]
@@ -447,8 +293,7 @@ mod tests {
         let a = SummaryTable::build(&p, &icfg);
         let b = SummaryTable::build(&p, &icfg);
         assert_eq!(a.class_of, b.class_of);
-        assert_eq!(a.callees, b.callees);
-        assert_eq!(a.call_depth, b.call_depth);
+        assert_eq!(a.class_reach.bits, b.class_reach.bits);
         assert_eq!(a.summaries, b.summaries);
     }
 }

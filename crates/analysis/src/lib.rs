@@ -16,11 +16,10 @@
 //!   sequences against the ICFG plus a call-stack abstraction and reports
 //!   structural violations as diagnostics.
 //! * [`summary`] / [`interproc`] — per-method abstract-interpretation
-//!   summaries (op alphabets, stack intervals, forced branch polarities)
-//!   lifted to a whole-program [`SummaryTable`] (callee reach, call depth,
-//!   op-kind equality classes). Consumed by the §4 matcher and §5 recovery
-//!   as candidate prefilters and by the linter for interprocedural
-//!   stack-balance checking.
+//!   summaries (exit op kinds, forced branch polarities) lifted to a
+//!   whole-program [`SummaryTable`] (op-kind equality classes and
+//!   class-level callee reach). Consumed only by the linter, for
+//!   interprocedural call-stack checking across seams.
 //!
 //! # Determinism contract
 //!
@@ -47,7 +46,7 @@ pub use lint::{
     LintKind, LintStep, LintSummary,
 };
 pub use rta::Rta;
-pub use summary::{op_may_exit_method, required_window_ops, MethodSummary, OpSet};
+pub use summary::{MethodSummary, OpSet};
 
 use jportal_bytecode::{Bci, MethodId, Program};
 use jportal_cfg::Cfg;

@@ -1,13 +1,12 @@
 //! Per-method abstract-interpretation summaries.
 //!
 //! One intra-method fixpoint pass over each method's bytecode computes a
-//! [`MethodSummary`]: the operation-kind alphabet of the method, feasible
-//! entry/exit op-bigrams, the operand-stack depth interval, and branches
-//! whose polarity is statically forced. The pass runs **once, offline**,
-//! from the [`Program`] alone; [`crate::interproc::SummaryTable`] then
-//! lifts the per-method facts interprocedurally (callee reach, call
-//! depth, summary-equality classes) for the §4 matcher, §5 recovery and
-//! the trace-feasibility linter to consume.
+//! [`MethodSummary`]: the op kinds the method can exit through and the
+//! branches whose polarity is statically forced. The pass runs **once,
+//! offline**, from the [`Program`] alone;
+//! [`crate::interproc::SummaryTable`] then adds the interprocedural
+//! queries (class-level callee reach, summary-equality classes) the
+//! trace-feasibility linter's interprocedural mode consumes.
 //!
 //! # The abstract domain
 //!
@@ -22,7 +21,7 @@
 //! purely syntactic facts, never to wrong ones.
 
 use jportal_bytecode::{Bci, Instruction, MethodId, OpKind, Program};
-use jportal_cfg::{BranchDir, Sym, Tier};
+use jportal_cfg::BranchDir;
 
 // Dense per-op bitsets rely on every kind fitting one machine word.
 const _: () = assert!(OpKind::ALL.len() <= 64);
@@ -36,12 +35,9 @@ const _: () = assert!(OpKind::ALL.len() <= 64);
 /// use jportal_bytecode::OpKind;
 ///
 /// let mut s = OpSet::EMPTY;
-/// s.insert(OpKind::Iadd);
 /// s.insert(OpKind::Ireturn);
-/// assert!(s.contains(OpKind::Iadd));
-/// let mut sub = OpSet::EMPTY;
-/// sub.insert(OpKind::Iadd);
-/// assert!(s.contains_all(sub));
+/// assert!(s.contains(OpKind::Ireturn));
+/// assert!(!s.contains(OpKind::Areturn));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct OpSet(u64);
@@ -59,87 +55,6 @@ impl OpSet {
     pub fn contains(self, op: OpKind) -> bool {
         self.0 & (1u64 << op.index()) != 0
     }
-
-    /// `true` if every kind of `other` is also in `self`.
-    pub fn contains_all(self, other: OpSet) -> bool {
-        self.0 & other.0 == other.0
-    }
-
-    /// Set union.
-    pub fn union(self, other: OpSet) -> OpSet {
-        OpSet(self.0 | other.0)
-    }
-
-    /// Number of kinds in the set.
-    pub fn len(self) -> usize {
-        self.0.count_ones() as usize
-    }
-
-    /// `true` if the set is empty.
-    pub fn is_empty(self) -> bool {
-        self.0 == 0
-    }
-}
-
-/// `true` if executing one occurrence of `op` can leave the current
-/// method's frame as the executing context: calls enter a callee,
-/// returns leave, and throwing instructions may unwind to a handler in
-/// a caller.
-///
-/// The complement bounds where a concrete trace window can travel: in a
-/// window that starts inside method `m`, every symbol up to and
-/// including the first may-exit symbol is an instruction of `m`.
-pub fn op_may_exit_method(op: OpKind) -> bool {
-    matches!(
-        op,
-        OpKind::InvokeStatic
-            | OpKind::InvokeVirtual
-            | OpKind::Ireturn
-            | OpKind::Areturn
-            | OpKind::Return
-            | OpKind::Athrow
-            | OpKind::Idiv
-            | OpKind::Irem
-            | OpKind::GetField
-            | OpKind::PutField
-            | OpKind::ArrayLoad
-            | OpKind::ArrayStore
-            | OpKind::ArrayLength
-    )
-}
-
-/// The control-tier operation kinds an abstract-NFA run from a start
-/// state inside one method is guaranteed to consume **at nodes of that
-/// method**: the window's control ops after the first symbol, up to and
-/// including the first call-structure op or `athrow`.
-///
-/// The guarantee mirrors exactly what the abstract automaton
-/// (Definition 4.3) can do. ε-transitions only pass through non-control
-/// nodes, so the run cannot leave the method without *consuming* a call,
-/// return, or `athrow` symbol — except through an exception edge out of a
-/// non-control throwing node, which is why a candidate in a method with a
-/// silent escape (see `SummaryTable::eps_escapes` in
-/// [`crate::interproc`]) must never be pruned by this set. For escape-free
-/// methods, a candidate whose [`MethodSummary::ops`] does not cover this
-/// set is abstractly rejected — pruning it cannot change any match.
-pub fn required_window_ops(window: &[Sym]) -> OpSet {
-    let mut req = OpSet::EMPTY;
-    for (k, s) in window.iter().enumerate() {
-        let tier = Tier::of_op(s.op);
-        if tier == Tier::Concrete {
-            // ε-skipped by the abstraction; constrains nothing.
-            continue;
-        }
-        if k > 0 {
-            req.insert(s.op);
-        }
-        if tier == Tier::CallStructure || s.op == OpKind::Athrow {
-            // Consuming this symbol may move the run to another method;
-            // everything after it is unconstrained.
-            break;
-        }
-    }
-    req
 }
 
 /// One abstract operand-stack slot: the flat lattice over what the pass
@@ -170,33 +85,16 @@ impl AbsVal {
 /// syntactic fallback — see [`MethodSummary::precise`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MethodSummary {
-    /// Operation kinds of **every** instruction in the method's code
-    /// array (syntactic, not reachability-filtered: matcher candidates
-    /// can sit anywhere in the method, including code the entry never
-    /// reaches, and the pruning proofs need the full alphabet).
-    pub ops: OpSet,
-    /// Operation kind of the entry instruction (bci 0).
-    pub entry_op: OpKind,
-    /// Feasible second ops: kinds of the entry instruction's successors
-    /// (the entry side of the method's op-bigrams).
-    pub entry_next: OpSet,
     /// Kinds of reachable exit instructions: returns, plus `athrow`
     /// occurrences no handler in the method covers.
     pub exit_ops: OpSet,
-    /// Kinds of reachable instructions with a direct successor that is
-    /// an exit instruction (the exit side of the method's op-bigrams).
-    pub exit_prev: OpSet,
-    /// Minimum operand-stack depth at any reachable instruction entry.
-    pub stack_min: u32,
-    /// Maximum operand-stack depth at any reachable instruction entry.
-    pub stack_max: u32,
     /// Reachable conditional branches whose direction is the same on
     /// every path (sorted by bci). A traced occurrence contradicting the
     /// forced direction is infeasible.
     pub forced: Vec<(Bci, BranchDir)>,
     /// `true` when the abstract pass converged; `false` means the
-    /// syntactic fallback ran and `stack_min`/`stack_max`/`forced` are
-    /// the trivial over-approximations.
+    /// syntactic fallback ran, so every exit instruction counts as
+    /// reachable and no branch is forced.
     pub precise: bool,
 }
 
@@ -207,19 +105,9 @@ impl MethodSummary {
         if m.code.is_empty() {
             // Verified programs never have empty methods; degrade
             // gracefully anyway rather than trusting the input.
-            return MethodSummary {
-                ops: OpSet::EMPTY,
-                entry_op: OpKind::Nop,
-                entry_next: OpSet::EMPTY,
-                exit_ops: OpSet::EMPTY,
-                exit_prev: OpSet::EMPTY,
-                stack_min: 0,
-                stack_max: 0,
-                forced: Vec::new(),
-                precise: false,
-            };
+            return syntactic_fallback(m);
         }
-        abstract_pass(program, method).unwrap_or_else(|| syntactic_fallback(program, m))
+        abstract_pass(program, method).unwrap_or_else(|| syntactic_fallback(m))
     }
 
     /// The statically forced direction of the conditional branch at
@@ -367,52 +255,31 @@ fn abstract_pass(program: &Program, method: MethodId) -> Option<MethodSummary> {
         }
     }
 
-    let mut ops = OpSet::EMPTY;
     let mut exit_ops = OpSet::EMPTY;
-    let mut exit_prev = OpSet::EMPTY;
     let mut forced = Vec::new();
-    let mut stack_min = u32::MAX;
-    let mut stack_max = 0u32;
-    let is_exit = |bci: Bci, insn: &Instruction| {
-        insn.is_return()
-            || (matches!(insn, Instruction::Athrow) && !m.handlers.iter().any(|h| h.covers(bci)))
-    };
-    // The alphabet is syntactic over the whole code array (see
-    // `MethodSummary::ops`); everything else below is reachable-only.
-    for insn in &m.code {
-        ops.insert(insn.op_kind());
-    }
     for (i, state) in states.iter().enumerate() {
         let Some(stack) = state else { continue };
         let bci = Bci(i as u32);
         let insn = &m.code[i];
-        let op = insn.op_kind();
-        stack_min = stack_min.min(stack.len() as u32);
-        stack_max = stack_max.max(stack.len() as u32);
-        if is_exit(bci, insn) {
-            exit_ops.insert(op);
-        }
-        for succ in normal_successors(insn, bci) {
-            if succ.index() < n && is_exit(succ, &m.code[succ.index()]) {
-                exit_prev.insert(op);
-            }
+        if is_exit(m, bci, insn) {
+            exit_ops.insert(insn.op_kind());
         }
         if let Some(dir) = forced_direction(insn, stack) {
             forced.push((bci, dir));
         }
     }
-    let entry_next = entry_successor_ops(m, &states);
     Some(MethodSummary {
-        ops,
-        entry_op: m.code[0].op_kind(),
-        entry_next,
         exit_ops,
-        exit_prev,
-        stack_min: if stack_min == u32::MAX { 0 } else { stack_min },
-        stack_max,
         forced,
         precise: true,
     })
+}
+
+/// `true` if `insn` at `bci` leaves the method: a return, or an `athrow`
+/// no handler in the method covers.
+fn is_exit(m: &jportal_bytecode::Method, bci: Bci, insn: &Instruction) -> bool {
+    insn.is_return()
+        || (matches!(insn, Instruction::Athrow) && !m.handlers.iter().any(|h| h.covers(bci)))
 }
 
 /// The forced polarity of a reachable conditional branch, given its
@@ -441,62 +308,17 @@ fn forced_direction(insn: &Instruction, stack: &[AbsVal]) -> Option<BranchDir> {
     }
 }
 
-fn entry_successor_ops(m: &jportal_bytecode::Method, states: &[Option<Vec<AbsVal>>]) -> OpSet {
-    let mut next = OpSet::EMPTY;
-    let entry = &m.code[0];
-    for succ in normal_successors(entry, Bci(0)) {
-        if succ.index() < m.code.len() && states[succ.index()].is_some() {
-            next.insert(m.code[succ.index()].op_kind());
-        }
-    }
-    if entry.can_throw() {
-        for h in m.handlers.iter().filter(|h| h.covers(Bci(0))) {
-            if states[h.handler.index()].is_some() {
-                next.insert(m.code[h.handler.index()].op_kind());
-            }
-        }
-    }
-    next
-}
-
 /// The trivial over-approximation used when the abstract pass bails:
-/// every instruction counts as reachable, the stack interval spans all
-/// depths the code could possibly produce, and no branch is forced.
-fn syntactic_fallback(_program: &Program, m: &jportal_bytecode::Method) -> MethodSummary {
-    let mut ops = OpSet::EMPTY;
+/// every instruction counts as reachable and no branch is forced.
+fn syntactic_fallback(m: &jportal_bytecode::Method) -> MethodSummary {
     let mut exit_ops = OpSet::EMPTY;
-    let mut exit_prev = OpSet::EMPTY;
-    let is_exit = |bci: Bci, insn: &Instruction| {
-        insn.is_return()
-            || (matches!(insn, Instruction::Athrow) && !m.handlers.iter().any(|h| h.covers(bci)))
-    };
     for (i, insn) in m.code.iter().enumerate() {
-        let bci = Bci(i as u32);
-        ops.insert(insn.op_kind());
-        if is_exit(bci, insn) {
+        if is_exit(m, Bci(i as u32), insn) {
             exit_ops.insert(insn.op_kind());
-        }
-        for succ in normal_successors(insn, bci) {
-            if succ.index() < m.code.len() && is_exit(succ, &m.code[succ.index()]) {
-                exit_prev.insert(insn.op_kind());
-            }
-        }
-    }
-    let mut entry_next = OpSet::EMPTY;
-    for succ in normal_successors(&m.code[0], Bci(0)) {
-        if succ.index() < m.code.len() {
-            entry_next.insert(m.code[succ.index()].op_kind());
         }
     }
     MethodSummary {
-        ops,
-        entry_op: m.code[0].op_kind(),
-        entry_next,
         exit_ops,
-        exit_prev,
-        stack_min: 0,
-        // Every instruction pushes at most two slots.
-        stack_max: (m.code.len() as u32).saturating_mul(2),
         forced: Vec::new(),
         precise: false,
     }
@@ -513,18 +335,14 @@ mod tests {
     }
 
     #[test]
-    fn opset_algebra() {
+    fn opset_membership() {
         let mut a = OpSet::EMPTY;
-        assert!(a.is_empty());
+        assert!(!a.contains(OpKind::Iadd));
         a.insert(OpKind::Iadd);
         a.insert(OpKind::Probe);
-        assert_eq!(a.len(), 2);
+        assert!(a.contains(OpKind::Iadd));
         assert!(a.contains(OpKind::Probe), "highest discriminant fits");
-        let mut b = OpSet::EMPTY;
-        b.insert(OpKind::Iadd);
-        assert!(a.contains_all(b));
-        assert!(!b.contains_all(a));
-        assert_eq!(a.union(b), a);
+        assert!(!a.contains(OpKind::Isub));
     }
 
     #[test]
@@ -541,13 +359,8 @@ mod tests {
         let p = pb.finish_with_entry(main).unwrap();
         let s = single(&p);
         assert!(s.precise);
-        assert_eq!(s.entry_op, OpKind::Iconst);
-        assert!(s.entry_next.contains(OpKind::Iconst));
-        assert_eq!(s.entry_next.len(), 1);
         assert!(s.exit_ops.contains(OpKind::Return));
-        assert!(s.exit_prev.contains(OpKind::Pop));
-        assert_eq!((s.stack_min, s.stack_max), (0, 2));
-        assert_eq!(s.ops.len(), 4);
+        assert!(!s.exit_ops.contains(OpKind::Pop));
         assert!(s.forced.is_empty());
     }
 
@@ -568,9 +381,6 @@ mod tests {
         assert!(s.precise);
         assert_eq!(s.forced_dir(Bci(1)), Some(BranchDir::Taken));
         assert_eq!(s.forced_dir(Bci(0)), None);
-        // Both arms still count as reachable (polarity is recorded, the
-        // frontier is not pruned), so `nop` stays in the alphabet.
-        assert!(s.ops.contains(OpKind::Nop));
     }
 
     #[test]
@@ -636,6 +446,7 @@ mod tests {
         let t = pb.add_class("Boom", None, 0);
         let mut m = pb.method(c, "div", 2, false);
         let handler = m.label();
+        let out = m.label();
         m.emit(I::Iload(0)); // 0
         m.emit(I::Iload(1)); // 1
         m.emit(I::Idiv); // 2: may throw
@@ -643,7 +454,11 @@ mod tests {
         m.emit(I::Return); // 4
         m.bind(handler);
         m.emit(I::Pop); // 5: pops the thrown ref
-        m.emit(I::Return); // 6
+        m.emit(I::Iconst(0)); // 6
+        m.branch_if(CmpKind::Eq, out); // 7: always taken
+        m.emit(I::Nop); // 8
+        m.bind(out);
+        m.emit(I::Return); // 9
         m.add_handler(Bci(2), Bci(3), handler, Some(t));
         let div = m.finish();
         let mut e = pb.method(c, "main", 0, false);
@@ -654,11 +469,12 @@ mod tests {
         let main = e.finish();
         let p = pb.finish_with_entry(main).unwrap();
         let s = MethodSummary::compute(&p, div);
+        // The handler's `pop` would underflow an empty entry stack and
+        // make the pass bail, so precision shows the unit stack.
         assert!(s.precise);
         // The handler body is reachable via the exception edge even
-        // though no normal edge leads there.
-        assert!(s.ops.contains(OpKind::Pop));
-        assert_eq!((s.stack_min, s.stack_max), (0, 2));
+        // though no normal edge leads there: its guard is forced.
+        assert_eq!(s.forced_dir(Bci(7)), Some(BranchDir::Taken));
     }
 
     #[test]
@@ -672,7 +488,6 @@ mod tests {
         let p = pb.finish_with_entry(boom).unwrap();
         let s = single(&p);
         assert!(s.exit_ops.contains(OpKind::Athrow));
-        assert!(s.exit_prev.contains(OpKind::New));
     }
 
     #[test]
@@ -690,47 +505,5 @@ mod tests {
         let p = pb.finish_with_entry(main).unwrap();
         let s = single(&p);
         assert_eq!(s.forced_dir(Bci(1)), Some(BranchDir::NotTaken));
-    }
-
-    #[test]
-    fn required_window_is_control_only_and_stops_at_call_structure() {
-        let w = [
-            Sym::plain(OpKind::Iload),
-            Sym::branch(OpKind::Ifeq, true),
-            Sym::plain(OpKind::Iconst),
-            Sym::plain(OpKind::Goto),
-            Sym::plain(OpKind::InvokeStatic),
-            Sym::plain(OpKind::Ifne), // may run in the callee
-        ];
-        let req = required_window_ops(&w);
-        // Concrete-tier ops are ε-skipped by the abstraction.
-        assert!(!req.contains(OpKind::Iload));
-        assert!(!req.contains(OpKind::Iconst));
-        assert!(req.contains(OpKind::Ifeq));
-        assert!(req.contains(OpKind::Goto));
-        // The first call-structure op is still consumed in-method...
-        assert!(req.contains(OpKind::InvokeStatic));
-        // ...but nothing after it is.
-        assert!(!req.contains(OpKind::Ifne));
-        assert!(required_window_ops(&[]).is_empty());
-        // A window *starting* on a call or throw constrains nothing: the
-        // very first consumption may already leave the method.
-        assert!(required_window_ops(&[
-            Sym::plain(OpKind::InvokeVirtual),
-            Sym::plain(OpKind::Ifeq),
-        ])
-        .is_empty());
-        assert!(
-            required_window_ops(&[Sym::plain(OpKind::Athrow), Sym::plain(OpKind::Ifeq),])
-                .is_empty()
-        );
-        // An athrow mid-window is required, then the scan stops.
-        let t = required_window_ops(&[
-            Sym::plain(OpKind::Nop),
-            Sym::plain(OpKind::Athrow),
-            Sym::plain(OpKind::Ifeq),
-        ]);
-        assert!(t.contains(OpKind::Athrow));
-        assert!(!t.contains(OpKind::Ifeq));
     }
 }

@@ -14,7 +14,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::{Arc, RwLock};
 
 use jportal_bytecode::{OpKind, Program};
-use jportal_obs::{ContentionCounter, Counter, MetricsRegistry};
+use jportal_obs::{ContentionCounter, Counter, Determinism, MetricsRegistry};
 
 use crate::fx::{FxHashMap, FxHasher};
 use crate::icfg::{Icfg, NodeId};
@@ -152,11 +152,6 @@ pub struct DfaCacheStats {
     pub misses: u64,
     /// Distinct abstract state-sets interned (including the empty set).
     pub interned: u64,
-    /// Restart candidates rejected by the interprocedural summary filter
-    /// before any DFA probe ran. Filled in by the pipeline (the ANFA
-    /// itself knows nothing about summaries); zero when summaries are
-    /// disabled.
-    pub summary_pruned: u64,
 }
 
 /// The abstract NFA (ANFA) over an [`Icfg`], with memoized ε-closures.
@@ -228,7 +223,9 @@ impl<'a> AbstractNfa<'a> {
     /// Builds the abstract view with cache counters registered in a
     /// telemetry registry as `cfg.dfa.hits` / `cfg.dfa.misses`, plus
     /// lock-contention accounting over the striped caches and the
-    /// state-set interner as `lock.cfg.dfa_cache.*`. With a disabled
+    /// state-set interner as `lock.cfg.dfa_cache.*`, all
+    /// [`Determinism::Scheduling`] (racing workers can both miss on the
+    /// entry one of them is about to fill). With a disabled
     /// registry the counters are no-ops (and
     /// [`AbstractNfa::dfa_stats`] reads zero).
     pub fn with_metrics(
@@ -239,8 +236,8 @@ impl<'a> AbstractNfa<'a> {
         AbstractNfa::with_counters(
             program,
             icfg,
-            registry.counter("cfg.dfa.hits"),
-            registry.counter("cfg.dfa.misses"),
+            registry.counter_as("cfg.dfa.hits", Determinism::Scheduling),
+            registry.counter_as("cfg.dfa.misses", Determinism::Scheduling),
             ContentionCounter::register(registry, "lock.cfg.dfa_cache"),
         )
     }
@@ -270,7 +267,6 @@ impl<'a> AbstractNfa<'a> {
             hits: self.hits.value(),
             misses: self.misses.value(),
             interned: self.interner.len() as u64,
-            summary_pruned: 0,
         }
     }
 

@@ -18,7 +18,8 @@ use jportal_corpus::{Corpus, CorpusBuilder};
 use jportal_ipt::{CollectedTraces, CollectionStats, LossRecord, ThreadId};
 use jportal_jvm::MetadataArchive;
 use jportal_obs::{
-    JournalEvent, Obs, ProfileConfig, Profiler, TelemetryConfig, TelemetryPlane, TelemetryReport,
+    Determinism, JournalEvent, Obs, ProfileConfig, Profiler, TelemetryConfig, TelemetryPlane,
+    TelemetryReport,
 };
 use std::cell::RefCell;
 
@@ -49,18 +50,14 @@ pub struct JPortalConfig {
     /// timeline and attach the diagnostics to the report.
     pub lint: bool,
     /// Build interprocedural method summaries (an abstract-interpretation
-    /// fixpoint over the ICFG, see `jportal_analysis::summary`) and wire
-    /// them through the pipeline: the §4 matcher screens restart
-    /// candidates by method alphabet before the abstract-DFA probe, §5
-    /// recovery pre-filters complete-segment candidates that provably
-    /// cannot pass the hole's confirm scan, and the linter tracks the
-    /// call stack across seams instead of resetting it. Reconstructed
-    /// timelines are **identical** with this on or off (the matcher
-    /// filter is subsumed by the abstract filter; prefiltered recovery
-    /// candidates still rank exactly as before, they just go unjournaled
-    /// — see `Recovery::with_summaries`) — only prune-rate diagnostics,
-    /// journal decisions and lint precision change. Off is the ablation
-    /// baseline.
+    /// fixpoint over the ICFG, see `jportal_analysis::summary`) and run
+    /// the feasibility linter in its interprocedural mode: it carries the
+    /// call stack across seams instead of resetting it, checks returns
+    /// against each method's exit ops, and flags branches that contradict
+    /// a statically forced direction. Nothing else reads the summaries,
+    /// so with [`JPortalConfig::lint`] on this selects only which lint
+    /// checks run; reconstructed timelines and every statistic are
+    /// identical with it on or off. Off is the legacy linter.
     pub summaries: bool,
     /// Consult the persistent cross-run segment corpus (attached with
     /// [`JPortal::with_corpus_store`]) as a secondary recovery source:
@@ -465,7 +462,7 @@ impl<'p> JPortal<'p> {
         }
 
         let (per_thread, decode_stats) = {
-            let _segregate = obs.span("collect", "segregate").arg("workers", workers);
+            let _segregate = obs.span("collect", "segregate");
             segregate_with_stats(traces, workers)
         };
         let mut thread_pieces: Vec<(ThreadId, Vec<ThreadPiece>)> = per_thread.into_iter().collect();
@@ -496,7 +493,12 @@ impl<'p> JPortal<'p> {
         }
         let decode_sketch = obs.registry().sketch("core.decode.wall_us");
         let project_sketch = obs.registry().sketch("core.project.wall_us");
-        let arena_hw = obs.registry().gauge("core.project.scratch_arena_hw");
+        // Thread-local scratch capacity outlives one analysis on the
+        // calling thread, so the high-water mark depends on what ran
+        // there before.
+        let arena_hw = obs
+            .registry()
+            .gauge_as("core.project.scratch_arena_hw", Determinism::Scheduling);
         // Both fan-outs share one queue gauge and collect-lock counter:
         // the pipeline never runs two fan-outs concurrently, so the
         // gauge always describes the active one.
@@ -531,7 +533,7 @@ impl<'p> JPortal<'p> {
                         &anfa,
                         &decoded.events,
                         &self.config.projection,
-                        self.summaries.as_ref(),
+                        None,
                         &mut scratch,
                     );
                     arena_hw.set_max(scratch.arena_high_water() as u64);
@@ -631,8 +633,6 @@ impl<'p> JPortal<'p> {
                 .add(sum(|t| t.projection.candidates_tried));
             reg.counter("core.project.candidates_pruned")
                 .add(sum(|t| t.projection.candidates_pruned));
-            reg.counter("core.project.summary_pruned")
-                .add(sum(|t| t.projection.summary_pruned));
             reg.counter("core.recover.holes")
                 .add(sum(|t| t.recovery.holes));
             reg.counter("core.recover.filled_from_cs")
@@ -649,8 +649,6 @@ impl<'p> JPortal<'p> {
                 .add(sum(|t| t.recovery.pruned_tier1));
             reg.counter("core.recover.pruned_tier2")
                 .add(sum(|t| t.recovery.pruned_tier2));
-            reg.counter("core.recover.summary_pruned")
-                .add(sum(|t| t.recovery.summary_pruned));
             reg.counter("core.recover.fallback_walks")
                 .add(sum(|t| t.recovery.fallback_walks));
             reg.counter("core.recover.budget_truncations")
@@ -675,21 +673,14 @@ impl<'p> JPortal<'p> {
                 reg.gauge("core.corpus.harvest_deduped")
                     .set_max(builder.deduped());
             }
-            reg.gauge("cfg.dfa.interned")
+            reg.gauge_as("cfg.dfa.interned", Determinism::Scheduling)
                 .set_max(anfa.dfa_stats().interned);
         }
 
         // `thread_pieces` was sorted by thread id and every join above is
         // order-preserving, so the report is already deterministically
         // sorted.
-        let mut dfa_cache = anfa.dfa_stats();
-        // The summary filter runs in front of the DFA, so its prune count
-        // belongs with the DFA cache diagnostics; summed from the
-        // deterministically merged per-thread stats.
-        dfa_cache.summary_pruned = threads
-            .iter()
-            .map(|t| t.projection.summary_pruned as u64)
-            .sum();
+        let dfa_cache = anfa.dfa_stats();
         // Close the analyze span before the final stage tick so this
         // run's `core.analyze.wall_us` is in the published snapshot.
         drop(_analyze);
@@ -900,16 +891,15 @@ impl<'p> JPortal<'p> {
         let obs = &self.obs;
         let mut recovery = Recovery::new(self.program, &self.icfg, compacted, self.config.recovery)
             .with_dominators(&self.analysis);
-        if let Some(table) = self.summaries.as_ref() {
-            recovery = recovery.with_summaries(table);
-        }
         if self.config.corpus {
             if let Some(corpus) = self.corpus.as_deref() {
                 recovery = recovery.with_corpus(corpus);
             }
         }
         let fill_sketch = obs.registry().sketch("core.recover.fill_wall_us");
-        let scratch_hw = obs.registry().gauge("core.recover.fill_scratch_hw");
+        let scratch_hw = obs
+            .registry()
+            .gauge_as("core.recover.fill_scratch_hw", Determinism::Scheduling);
         jportal_par::par_map(workers, hole_posts, |h, &(post, loss)| {
             let hole = h + 1;
             // Worker threads start with an empty span stack, so the

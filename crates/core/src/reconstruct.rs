@@ -15,7 +15,7 @@
 //!   (§4, Challenges) — so dynamic transfers absent from the static ICFG
 //!   degrade gracefully.
 
-use jportal_analysis::{required_window_ops, SummaryTable};
+use jportal_analysis::SummaryTable;
 use jportal_bytecode::Program;
 use jportal_cfg::abs::AbstractNfa;
 use jportal_cfg::{Icfg, MatchScratch, Nfa, NodeId, Sym};
@@ -61,13 +61,8 @@ pub struct ProjectionStats {
     pub candidates_tried: usize,
     /// Candidates rejected by the abstract filter.
     pub candidates_pruned: usize,
-    /// Candidates rejected by the interprocedural summary filter before
-    /// the abstract DFA even ran: the candidate's method alphabet cannot
-    /// cover the window's required control ops (see
-    /// [`jportal_analysis::required_window_ops`]). Every one of these
-    /// would also have been rejected by the abstract filter — the
-    /// summary check is the cheap first line, so these prunes are DFA
-    /// probes saved, not extra rejections.
+    /// Always zero; kept for source compatibility. Every rejected
+    /// restart candidate counts in [`ProjectionStats::candidates_pruned`].
     pub summary_pruned: usize,
     /// Times the abstract start filter (the tabled DFA path) actually
     /// ran, as opposed to falling through to the concrete scan.
@@ -142,17 +137,10 @@ pub fn project_segment(
 
 /// [`project_segment`] with caller-provided scratch buffers for the
 /// layered set-simulation (no per-symbol allocations; the frontier arena
-/// is reused across matched runs and across segments), plus an optional
-/// interprocedural summary table.
+/// is reused across matched runs and across segments).
 ///
-/// With `summaries` present, restart candidates are screened by a u64
-/// bitset test before any abstract-DFA probe: the window's required
-/// control ops (everything the abstract run must consume in the start
-/// method — see [`required_window_ops`]) must be covered by the
-/// candidate method's alphabet. The check is a *necessary condition for
-/// abstract acceptance* (methods with silent exception escapes are
-/// exempted), so it only ever rejects candidates the DFA would reject —
-/// the projection is identical with the table present or absent.
+/// `_summaries` is kept for source compatibility and ignored: restart
+/// candidates are filtered by the abstract DFA alone (DESIGN.md §15).
 #[allow(clippy::too_many_arguments)]
 pub fn project_segment_with(
     program: &Program,
@@ -160,7 +148,7 @@ pub fn project_segment_with(
     anfa: &AbstractNfa<'_>,
     events: &[BcEvent],
     cfg: &ProjectionConfig,
-    summaries: Option<&SummaryTable>,
+    _summaries: Option<&SummaryTable>,
     scratch: &mut MatchScratch,
 ) -> Projection {
     let nfa = Nfa::new(program, icfg);
@@ -202,20 +190,13 @@ pub fn project_segment_with(
                     let lookahead_end = (i + cfg.abstraction_lookahead).min(events.len());
                     let window = &syms[i..lookahead_end];
                     let abs = jportal_cfg::tier::abstract_seq(window, jportal_cfg::Tier::Control);
-                    let required = summaries.map(|_| required_window_ops(window));
-                    let mut summary_pruned = 0usize;
-                    starts.extend(candidates.iter().copied().filter(|&n| {
-                        if let (Some(table), Some(req)) = (summaries, required) {
-                            let m = icfg.method_of(n);
-                            if !table.eps_escapes(m) && !table.summary(m).ops.contains_all(req) {
-                                summary_pruned += 1;
-                                return false;
-                            }
-                        }
-                        anfa.abstract_accepts_from(n, sym0, &abs)
-                    }));
-                    stats.summary_pruned += summary_pruned;
-                    stats.candidates_pruned += candidates.len() - starts.len() - summary_pruned;
+                    starts.extend(
+                        candidates
+                            .iter()
+                            .copied()
+                            .filter(|&n| anfa.abstract_accepts_from(n, sym0, &abs)),
+                    );
+                    stats.candidates_pruned += candidates.len() - starts.len();
                 } else {
                     starts.extend_from_slice(candidates);
                 }

@@ -142,14 +142,8 @@ pub struct RecoveryStats {
     pub pruned_tier1: usize,
     /// Candidates rejected at tier 2.
     pub pruned_tier2: usize,
-    /// Candidates rejected by the summary prefilter: the candidate's
-    /// suffix provably contains no confirm window for this hole (checked
-    /// against the per-segment op-kind position index), so it can never
-    /// be chosen as the fill. Pruned candidates still run through the
-    /// search gates and ranking — which keeps the chosen fill identical
-    /// to a run without the prefilter — but skip all per-candidate
-    /// journaling. Not counted in [`RecoveryStats::candidates`] (nor in
-    /// the tier-prune tallies).
+    /// Always zero; kept for source compatibility. Every candidate
+    /// counts in [`RecoveryStats::candidates`].
     pub summary_pruned: usize,
     /// Fallback ICFG walks attempted (successful or not); always ≥
     /// [`RecoveryStats::filled_by_walk`].
@@ -216,19 +210,6 @@ impl RecoveryStats {
             0.0
         } else {
             self.pruned_tier2 as f64 / self.candidates as f64
-        }
-    }
-
-    /// Fraction of the raw candidate set rejected by the interprocedural
-    /// summary prefilter, over the *whole* set (survivors plus pruned) —
-    /// the denominator the tier rates never see. `0.0` when nothing was
-    /// considered.
-    pub fn summary_prune_rate(&self) -> f64 {
-        let total = self.candidates + self.summary_pruned;
-        if total == 0 {
-            0.0
-        } else {
-            self.summary_pruned as f64 / total as f64
         }
     }
 }
@@ -317,10 +298,6 @@ struct IndexedSegment {
     t1: Vec<u32>,
     /// Positions of tier-2 (control) symbols.
     t2: Vec<u32>,
-    /// Positions of each [`OpKind`] in `syms`, indexed by
-    /// [`OpKind::index`]. Empty until [`IndexedSegment::build_op_index`]
-    /// runs (only the summary prefilter reads it).
-    op_pos: Vec<Vec<u32>>,
 }
 
 impl IndexedSegment {
@@ -344,19 +321,6 @@ impl IndexedSegment {
             syms,
             t1,
             t2,
-            op_pos: Vec::new(),
-        }
-    }
-
-    /// Builds the per-[`OpKind`] position index used by the summary
-    /// prefilter's confirm-window feasibility check.
-    fn build_op_index(&mut self) {
-        if !self.op_pos.is_empty() {
-            return;
-        }
-        self.op_pos = vec![Vec::new(); OpKind::ALL.len()];
-        for (i, s) in self.syms.iter().enumerate() {
-            self.op_pos[s.op.index()].push(i as u32);
         }
     }
 
@@ -432,20 +396,6 @@ fn push_ranked(best: &mut Vec<(Candidate, usize)>, entry: (Candidate, usize), to
         best.truncate(top_n);
     }
 }
-
-/// Per-hole confirm-window context handed to the summary prefilter: the
-/// post-hole window the winning fill must reproduce and the hole's
-/// timestamp budget (both exactly as the confirm scan will use them).
-struct ConfirmCtx<'w> {
-    post_window: &'w [Sym],
-    budget: usize,
-}
-
-/// Occurrence probes [`Recovery::can_confirm`] spends per candidate
-/// before giving up and keeping it. Keeps the prefilter's worst case
-/// (a window of ubiquitous op kinds) cheaper than the scoring it
-/// short-circuits; an undecided candidate is simply not pruned.
-const CONFIRM_PROBE_CAP: usize = 64;
 
 /// Key of the anchor index: the opcode sequence of an anchor window,
 /// always one `Copy` word (see [`jportal_corpus::anchor_key`]).
@@ -558,9 +508,6 @@ pub struct Recovery<'a> {
     cfg: RecoveryConfig,
     /// Per-method dominator facts for anchor ranking (optional).
     doms: Option<&'a AnalysisIndex>,
-    /// Interprocedural method summaries for candidate prefiltering
-    /// (optional; see [`Recovery::with_summaries`]).
-    summaries: Option<&'a SummaryTable>,
     /// Persistent cross-run segment corpus, consulted as a **secondary**
     /// candidate source (optional; see [`Recovery::with_corpus`]).
     corpus: Option<&'a Corpus>,
@@ -595,7 +542,6 @@ impl<'a> Recovery<'a> {
             icfg,
             cfg,
             doms: None,
-            summaries: None,
             corpus: None,
             indexed,
             anchor_index,
@@ -637,39 +583,14 @@ impl<'a> Recovery<'a> {
         self
     }
 
-    /// Enables the summary prefilter. When present, candidates whose
-    /// suffix **provably cannot contain this hole's confirm window**
-    /// (the `y` post-hole symbols, within budget) are identified before
-    /// the search runs — they can never be chosen as the fill. The check
-    /// is **exact** up to a probe cap (an undecided candidate is kept),
-    /// and pruned candidates still flow through Algorithm 4's gates and
-    /// ranking unchanged (see [`Recovery::search_abstraction`]), so
-    /// reconstructed timelines are identical with the prefilter on or
-    /// off; what pruning buys is a shorter journal (pruned candidates
-    /// emit no per-candidate events) and the `summary_pruned`
-    /// diagnostics. It saves no scoring work.
-    ///
-    /// Method-identity-based pruning (matching the candidate's located
-    /// method against the IS's) was deliberately rejected: a projection
-    /// restart can *relocate* a run to any window-matching position, so
-    /// located method identity is not trustworthy evidence on lossy
-    /// input — the same reasoning that grades the linter's frame checks
-    /// (see `jportal_analysis::lint`). Only op-kind facts recorded by
-    /// the hardware survive relocation, and this prefilter uses nothing
-    /// else.
-    pub fn with_summaries(mut self, summaries: &'a SummaryTable) -> Recovery<'a> {
-        self.summaries = Some(summaries);
-        for seg in &mut self.indexed {
-            seg.build_op_index();
-        }
+    /// Kept for source compatibility; has no effect. Candidates are
+    /// pruned by Algorithm 4's tier gates alone; method summaries serve
+    /// only the feasibility linter (DESIGN.md §15).
+    pub fn with_summaries(self, _summaries: &'a SummaryTable) -> Recovery<'a> {
         self
     }
 
-    /// Candidate CS positions for an IS ending with `anchor` syms, each
-    /// tagged `true` if the summary prefilter proved it can never
-    /// confirm for the hole described by `ctx` (pruned counts land in
-    /// [`RecoveryStats::summary_pruned`], not in
-    /// [`RecoveryStats::candidates`]).
+    /// Candidate CS positions for an IS ending with `anchor` syms.
     ///
     /// Streams over the anchor index's slice in index order — busy
     /// anchors have thousands of positions, and most candidates die at
@@ -678,8 +599,7 @@ impl<'a> Recovery<'a> {
         &'s self,
         is_seg: usize,
         anchor: &'s [Sym],
-        ctx: Option<&'s ConfirmCtx<'_>>,
-    ) -> impl Iterator<Item = (Candidate, bool)> + 's {
+    ) -> impl Iterator<Item = Candidate> + 's {
         let is_end = self.indexed[is_seg].syms.len() - 1;
         let positions = self
             .anchor_index
@@ -699,61 +619,6 @@ impl<'a> Recovery<'a> {
                         .enumerate()
                         .all(|(k, a)| self.indexed[si].syms[end + 1 - anchor.len() + k].op == a.op)
             })
-            .map(move |cand| {
-                let dead = match ctx {
-                    Some(c) if self.summaries.is_some() => !self.can_confirm(cand, c),
-                    _ => false,
-                };
-                (cand, dead)
-            })
-    }
-
-    /// `true` unless candidate `(si, end)`'s suffix provably contains no
-    /// window matching `ctx.post_window` within `ctx.budget` — the exact
-    /// success condition of the confirm scan in
-    /// [`Recovery::fill_hole_with`]. The scan walks the occurrences of
-    /// the window's rarest op kind (per-segment position index), so a
-    /// hopeless candidate is usually rejected in O(log n); after
-    /// [`CONFIRM_PROBE_CAP`] occurrence probes the candidate is kept
-    /// (undecided ⇒ alive keeps the prefilter sound).
-    fn can_confirm(&self, (si, end): Candidate, ctx: &ConfirmCtx<'_>) -> bool {
-        let cs = &self.indexed[si];
-        let suffix_start = end + 1;
-        let y = ctx.post_window.len();
-        let len = cs.syms.len();
-        let available = len - suffix_start;
-        if available < y {
-            return false;
-        }
-        // Highest window start the confirm scan would try: `d` is capped
-        // by the budget and the window must fit inside the segment.
-        let hi = (suffix_start + ctx.budget.min(available)).min(len - y);
-        let k_rare = (0..y)
-            .min_by_key(|&k| cs.op_pos[ctx.post_window[k].op.index()].len())
-            .unwrap_or(0);
-        let positions = &cs.op_pos[ctx.post_window[k_rare].op.index()];
-        let lo = suffix_start + k_rare;
-        let mut probes = 0usize;
-        for &p in &positions[positions.partition_point(|&q| (q as usize) < lo)..] {
-            let p = p as usize;
-            if p > hi + k_rare {
-                break;
-            }
-            probes += 1;
-            if probes > CONFIRM_PROBE_CAP {
-                return true;
-            }
-            let from = p - k_rare;
-            if ctx
-                .post_window
-                .iter()
-                .enumerate()
-                .all(|(k, &s)| sym_compat(cs.syms[from + k], s))
-            {
-                return true;
-            }
-        }
-        false
     }
 
     /// **Algorithm 3**: naive CS search — full concrete comparison per
@@ -763,14 +628,13 @@ impl<'a> Recovery<'a> {
         is_seg: usize,
         stats: &mut RecoveryStats,
     ) -> Vec<(Candidate, usize)> {
-        self.search_naive_journaled(is_seg, stats, None, &mut CandidateJournal::new(None, 0))
+        self.search_naive_journaled(is_seg, stats, &mut CandidateJournal::new(None, 0))
     }
 
     fn search_naive_journaled(
         &self,
         is_seg: usize,
         stats: &mut RecoveryStats,
-        ctx: Option<&ConfirmCtx<'_>>,
         journal: &mut CandidateJournal<'_, '_>,
     ) -> Vec<(Candidate, usize)> {
         let is = &self.indexed[is_seg];
@@ -779,7 +643,7 @@ impl<'a> Recovery<'a> {
         }
         let anchor = &is.syms[is.syms.len() - self.cfg.anchor_len..];
         let mut best: Vec<(Candidate, usize)> = Vec::new();
-        for (rank, (cand, dead)) in self.candidates(is_seg, anchor, ctx).enumerate() {
+        for (rank, cand) in self.candidates(is_seg, anchor).enumerate() {
             let (si, end) = cand;
             let score = is.tier_suffix(
                 is.syms.len(),
@@ -788,15 +652,8 @@ impl<'a> Recovery<'a> {
                 Tier::Concrete,
                 usize::MAX,
             );
-            // Prefilter-pruned candidates keep their score (the ranking
-            // must be identical with the prefilter off) but are not
-            // journaled individually.
-            if dead {
-                stats.summary_pruned += 1;
-            } else {
-                stats.candidates += 1;
-                journal.consider(rank as u32, cand, CandidateOutcome::Scored, score);
-            }
+            stats.candidates += 1;
+            journal.consider(rank as u32, cand, CandidateOutcome::Scored, score);
             push_ranked(&mut best, (cand, score), self.cfg.top_n);
         }
         best
@@ -812,21 +669,13 @@ impl<'a> Recovery<'a> {
         is_seg: usize,
         stats: &mut RecoveryStats,
     ) -> Vec<(Candidate, usize)> {
-        self.search_abstraction_journaled(is_seg, stats, None, &mut CandidateJournal::new(None, 0))
+        self.search_abstraction_journaled(is_seg, stats, &mut CandidateJournal::new(None, 0))
     }
 
-    /// Prefilter-pruned candidates are processed through **exactly** the
-    /// same gates, maxima updates and ranking as live ones — the ranked
-    /// list (and therefore the chosen fill) is identical with the
-    /// prefilter on or off by construction, not by a theorem about what
-    /// pruning may drop. They only skip the per-candidate journal events
-    /// and are tallied as [`RecoveryStats::summary_pruned`] instead of
-    /// [`RecoveryStats::candidates`].
     fn search_abstraction_journaled(
         &self,
         is_seg: usize,
         stats: &mut RecoveryStats,
-        ctx: Option<&ConfirmCtx<'_>>,
         journal: &mut CandidateJournal<'_, '_>,
     ) -> Vec<(Candidate, usize)> {
         let is = &self.indexed[is_seg];
@@ -838,30 +687,22 @@ impl<'a> Recovery<'a> {
         // Running maxima ⟨m1, m2, m3⟩ of Algorithm 4; pruning compares
         // against the weakest kept candidate when the list is full.
         let (mut m1, mut m2, mut m3) = (0usize, 0usize, 0usize);
-        for (rank, (cand, dead)) in self.candidates(is_seg, anchor, ctx).enumerate() {
+        for (rank, cand) in self.candidates(is_seg, anchor).enumerate() {
             let (si, end) = cand;
             let cs = &self.indexed[si];
-            if dead {
-                stats.summary_pruned += 1;
-            } else {
-                stats.candidates += 1;
-            }
+            stats.candidates += 1;
             let full = self.cfg.top_n > best.len();
             // Tier 1: cheap test first.
             let ml1 = is.tier_suffix(is.syms.len(), cs, end + 1, Tier::CallStructure, m1 + 64);
             if !full && ml1 < m1 {
-                if !dead {
-                    stats.pruned_tier1 += 1;
-                    journal.consider(rank as u32, cand, CandidateOutcome::PrunedTier1, ml1);
-                }
+                stats.pruned_tier1 += 1;
+                journal.consider(rank as u32, cand, CandidateOutcome::PrunedTier1, ml1);
                 continue;
             }
             let ml2 = is.tier_suffix(is.syms.len(), cs, end + 1, Tier::Control, m2 + 64);
             if !full && ml2 < m2 {
-                if !dead {
-                    stats.pruned_tier2 += 1;
-                    journal.consider(rank as u32, cand, CandidateOutcome::PrunedTier2, ml2);
-                }
+                stats.pruned_tier2 += 1;
+                journal.consider(rank as u32, cand, CandidateOutcome::PrunedTier2, ml2);
                 continue;
             }
             let ml3 = is.tier_suffix(is.syms.len(), cs, end + 1, Tier::Concrete, usize::MAX);
@@ -870,9 +711,7 @@ impl<'a> Recovery<'a> {
                 m1 = ml1;
                 m2 = ml2;
             }
-            if !dead {
-                journal.consider(rank as u32, cand, CandidateOutcome::Scored, ml3);
-            }
+            journal.consider(rank as u32, cand, CandidateOutcome::Scored, ml3);
             push_ranked(&mut best, (cand, ml3), self.cfg.top_n);
         }
         best
@@ -953,36 +792,14 @@ impl<'a> Recovery<'a> {
                 budget: budget as u64,
             });
         }
-        let pre_candidates = stats.candidates;
-        let pre_summary_pruned = stats.summary_pruned;
-        // Confirm-window context for the summary prefilter: exactly the
-        // window and budget the confirm scan below will use. An empty
-        // post window means nothing can ever confirm, so there is no
-        // point prefiltering.
-        let post_window = &post.syms[..self.cfg.confirm_len.min(post.syms.len())];
-        let ctx = (!post_window.is_empty()).then_some(ConfirmCtx {
-            post_window,
-            budget,
-        });
         let mut journal =
             CandidateJournal::new(recorder.is_enabled().then_some(&mut *recorder), hole);
         let mut ranked = if self.cfg.use_abstraction {
-            self.search_abstraction_journaled(is_seg, stats, ctx.as_ref(), &mut journal)
+            self.search_abstraction_journaled(is_seg, stats, &mut journal)
         } else {
-            self.search_naive_journaled(is_seg, stats, ctx.as_ref(), &mut journal)
+            self.search_naive_journaled(is_seg, stats, &mut journal)
         };
         journal.finish();
-        if self.summaries.is_some() {
-            let pruned = stats.summary_pruned - pre_summary_pruned;
-            let considered = stats.candidates - pre_candidates + pruned;
-            if considered > 0 {
-                recorder.emit(JournalEvent::SummaryPrefilter {
-                    hole,
-                    considered: considered as u32,
-                    pruned: pruned as u32,
-                });
-            }
-        }
         self.rank_with_dominators(&mut ranked, segments, post_seg);
 
         let y = self.cfg.confirm_len;
@@ -1519,89 +1336,6 @@ mod tests {
         // Abstract suffix can only be ≥ the abstraction of the concrete
         // common suffix (here: equal).
         assert!(m2 >= 1);
-    }
-
-    fn splitmix(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    /// The summary prefilter's `can_confirm` must agree exactly with the
-    /// literal confirm-scan success condition of `fill_hole_with` (scan
-    /// `d ∈ 0..=budget.min(available)` for a window match): a pruned
-    /// candidate that the scan would actually confirm changes the chosen
-    /// fill, breaking the on/off report equivalence. Segments stay below
-    /// [`CONFIRM_PROBE_CAP`] occurrences so the cap never forces a
-    /// conservative "alive" answer and the check must be *exact*, not
-    /// just sound.
-    #[test]
-    fn confirm_prefilter_matches_literal_confirm_scan() {
-        use OpKind as O;
-        let (p, icfg) = tiny_program();
-        let pool = [
-            O::Iadd,
-            O::Isub,
-            O::Dup,
-            O::Pop,
-            O::Ifeq,
-            O::InvokeStatic,
-            O::Ireturn,
-        ];
-        let mut s = 0x5EED_u64;
-        let mut pruned = 0usize;
-        let mut alive = 0usize;
-        for _ in 0..200 {
-            let len = 3 + (splitmix(&mut s) % 60) as usize;
-            let ops: Vec<OpKind> = (0..len)
-                .map(|_| pool[(splitmix(&mut s) % pool.len() as u64) as usize])
-                .collect();
-            let segs = vec![seg_from_ops(&ops)];
-            let mut rec = Recovery::new(&p, &icfg, &segs, RecoveryConfig::default());
-            for seg in &mut rec.indexed {
-                seg.build_op_index();
-            }
-            for _ in 0..20 {
-                let end = (splitmix(&mut s) % len as u64) as usize;
-                let y = 1 + (splitmix(&mut s) % 5) as usize;
-                let window: Vec<Sym> = (0..y)
-                    .map(|_| sym(pool[(splitmix(&mut s) % pool.len() as u64) as usize]))
-                    .collect();
-                let budget = (splitmix(&mut s) % 40) as usize;
-                let got = rec.can_confirm(
-                    (0, end),
-                    &ConfirmCtx {
-                        post_window: &window,
-                        budget,
-                    },
-                );
-                // Literal reimplementation of the confirm scan.
-                let suffix_start = end + 1;
-                let available = len.saturating_sub(suffix_start);
-                let expect = (0..=budget.min(available)).any(|d| {
-                    let from = suffix_start + d;
-                    from + y <= len
-                        && window
-                            .iter()
-                            .enumerate()
-                            .all(|(k, &w)| sym_compat(sym(ops[from + k]), w))
-                });
-                assert_eq!(
-                    got, expect,
-                    "ops={ops:?} end={end} window={window:?} budget={budget}"
-                );
-                if expect {
-                    alive += 1;
-                } else {
-                    pruned += 1;
-                }
-            }
-        }
-        // The sweep must actually exercise both verdicts.
-        assert!(pruned > 100, "too few unconfirmable cases: {pruned}");
-        assert!(alive > 100, "too few confirmable cases: {alive}");
     }
 
     /// Builds the paper's Figure 6 scenario: an IS `…XEF⋄` with the true

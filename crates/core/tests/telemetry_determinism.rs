@@ -1,16 +1,17 @@
 //! Telemetry determinism: the *structure* of what the pipeline records —
-//! counter values and the span tree — must be identical whether the
-//! analysis runs sequentially or fanned out, exactly like the report
-//! itself. Timing (histograms, span durations) and the two documented
-//! scheduling-dependent families (`cfg.dfa.*` cache counters, scratch
-//! high-water gauges) are excluded; everything else is part of the
-//! contract because it is aggregated after the deterministic joins.
+//! every instrument registered `Determinism::Exact` and the span tree —
+//! must be identical whether the analysis runs sequentially or fanned
+//! out, exactly like the report itself. Timing (sketch values, span
+//! durations) and the instruments registered `Determinism::Scheduling`
+//! are excluded; everything else is part of the contract because it is
+//! aggregated after the deterministic joins.
 
 use jportal_bytecode::builder::ProgramBuilder;
 use jportal_bytecode::{CmpKind, Instruction as I, Program};
 use jportal_core::{JPortal, JPortalConfig, JPortalReport};
 use jportal_jvm::runtime::{Jvm, JvmConfig, RunResult, ThreadSpec};
-use jportal_obs::TelemetryReport;
+use jportal_obs::{exact_view, Determinism, TelemetryReport};
+use std::collections::BTreeMap;
 
 /// A branchy two-method loop, long enough that a small PT buffer with a
 /// slow exporter drops data on every thread (so recovery, hole spans and
@@ -84,15 +85,9 @@ fn analyze_with(
     (report, jp.telemetry())
 }
 
-/// Counters minus the documented scheduling-dependent `cfg.dfa.*`
-/// family (two workers can both miss on a key one is about to fill).
-fn deterministic_counters(t: &TelemetryReport) -> Vec<(String, u64)> {
-    t.metrics
-        .counters
-        .iter()
-        .filter(|(name, _)| !name.starts_with("cfg.dfa."))
-        .cloned()
-        .collect()
+/// Every `Exact` instrument's reading.
+fn exact_metrics(t: &TelemetryReport) -> BTreeMap<String, Vec<u64>> {
+    exact_view(&t.metrics, &[])
 }
 
 /// Sorted timing-free span structure, minus the `prewarm` span that by
@@ -123,9 +118,9 @@ fn counters_and_span_tree_match_across_parallelism() {
 
     assert_eq!(report_seq, report_par, "report determinism contract");
     assert_eq!(
-        deterministic_counters(&tel_seq),
-        deterministic_counters(&tel_par),
-        "every non-dfa counter must be identical at any worker count"
+        exact_metrics(&tel_seq),
+        exact_metrics(&tel_par),
+        "every Exact instrument must read the same at any worker count"
     );
     assert_eq!(
         span_structure(&tel_seq),
@@ -133,11 +128,16 @@ fn counters_and_span_tree_match_across_parallelism() {
         "span categories, names, parents and args must be identical"
     );
 
-    // The excluded family must still exist in both (same names, values
-    // free to differ).
+    // The excluded instruments must still be recorded in both (values
+    // free to differ), declared where they are registered.
     for t in [&tel_seq, &tel_par] {
         assert!(t.metrics.counter("cfg.dfa.hits").is_some());
-        assert!(t.metrics.counter("cfg.dfa.misses").is_some());
+        for name in [
+            "counter.cfg.dfa.hits",
+            "counter.lock.cfg.dfa_cache.acquires",
+        ] {
+            assert_eq!(t.metrics.determinism(name), Determinism::Scheduling);
+        }
     }
 
     // Spot checks: recovery actually ran and was counted, and the span
@@ -152,6 +152,43 @@ fn counters_and_span_tree_match_across_parallelism() {
     assert!(span_structure(&tel_seq)
         .iter()
         .any(|s| s.starts_with("decode/analyze/decode_segment")));
+}
+
+/// An instrument whose readings differ between worker counts passes
+/// the comparison once it is registered `Scheduling`, and fails it when
+/// registered `Exact`: the class, not a name list, decides.
+#[test]
+fn scheduling_instruments_are_outside_the_comparison() {
+    let p = workload();
+    let r = lossy_run(&p, 2);
+    let traces = r.traces.as_ref().unwrap();
+    let run = |workers: usize, class: Determinism| {
+        let jp = JPortal::with_config(
+            &p,
+            JPortalConfig {
+                parallelism: Some(workers),
+                ..JPortalConfig::default()
+            },
+        );
+        jp.analyze(traces, &r.archive);
+        // Driven differently at one and at N workers.
+        jp.obs()
+            .registry()
+            .counter_as("test.per_worker", class)
+            .add(workers as u64 * 7);
+        jp.telemetry()
+    };
+    let (one, n) = (
+        run(1, Determinism::Scheduling),
+        run(3, Determinism::Scheduling),
+    );
+    assert_ne!(
+        one.metrics.counter("test.per_worker"),
+        n.metrics.counter("test.per_worker")
+    );
+    assert_eq!(exact_metrics(&one), exact_metrics(&n));
+    let (one, n) = (run(1, Determinism::Exact), run(3, Determinism::Exact));
+    assert_ne!(exact_metrics(&one), exact_metrics(&n));
 }
 
 #[test]
@@ -201,7 +238,7 @@ fn disabled_observability_records_nothing_and_changes_nothing() {
     assert!(t.spans.is_empty());
     assert!(t.metrics.counters.is_empty());
     assert!(t.metrics.gauges.is_empty());
-    assert!(t.metrics.histograms.is_empty());
+    assert!(t.metrics.sketches.is_empty());
     let (lit, _) = analyze_with(&p, &r, None);
     assert_eq!(dark, lit, "observability must never change the report");
 }

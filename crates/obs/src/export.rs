@@ -17,7 +17,7 @@ use crate::span::{ArgValue, SpanEvent};
 /// merged span list.
 #[derive(Debug, Clone, Default)]
 pub struct TelemetryReport {
-    /// Counters, gauges and histograms, sorted by name.
+    /// Counters, gauges and sketches, sorted by name.
     pub metrics: MetricsSnapshot,
     /// Spans, deterministically merged (see `SpanCollector::snapshot`).
     pub spans: Vec<SpanEvent>,
@@ -93,8 +93,8 @@ impl TelemetryReport {
         metrics_snapshot_json(&self.metrics)
     }
 
-    /// A human-readable summary: counters, gauges, histogram quantiles
-    /// and a per-category span rollup.
+    /// A human-readable summary: counters, gauges, sketch quantiles and
+    /// a per-category span rollup.
     pub fn summary_table(&self) -> String {
         let mut out = String::new();
         let width = self
@@ -103,7 +103,6 @@ impl TelemetryReport {
             .iter()
             .map(|(n, _)| n.len())
             .chain(self.metrics.gauges.iter().map(|(n, _)| n.len()))
-            .chain(self.metrics.histograms.iter().map(|h| h.name.len()))
             .chain(self.metrics.sketches.iter().map(|s| s.name.len()))
             .chain(self.span_categories().iter().map(|c| c.len()))
             .max()
@@ -139,19 +138,6 @@ impl TelemetryReport {
                 out.push_str(&format!("  {name:<width$}  {v:>12}\n"));
             }
         }
-        if !self.metrics.histograms.is_empty() {
-            out.push_str("histograms (count / sum / ~p50 / ~p99)\n");
-            for h in &self.metrics.histograms {
-                out.push_str(&format!(
-                    "  {:<width$}  {:>8} {:>12} {:>10} {:>10}\n",
-                    h.name,
-                    h.count,
-                    h.sum,
-                    h.quantile(0.5),
-                    h.quantile(0.99)
-                ));
-            }
-        }
         if !self.metrics.sketches.is_empty() {
             out.push_str("sketches (count / ~p50 / ~p90 / ~p99 / max)\n");
             for s in &self.metrics.sketches {
@@ -185,8 +171,7 @@ impl TelemetryReport {
 }
 
 /// Flat metrics JSON from a bare snapshot: `{"counters": {..}, "gauges":
-/// {..}, "histograms": {name: {count, sum, p50, p99, buckets: [[upper,
-/// n], ..]}}, "sketches": {name: {count, sum, min, max, p50, p90, p99,
+/// {..}, "sketches": {name: {count, sum, min, max, p50, p90, p99,
 /// buckets: [[index, n], ..]}}}`, all keys sorted. Always valid per the
 /// strict `obs::json` validator.
 pub fn metrics_snapshot_json(metrics: &MetricsSnapshot) -> String {
@@ -229,27 +214,6 @@ fn metrics_snapshot_json_inner(metrics: &MetricsSnapshot) -> String {
         }
         write_escaped(&mut out, name);
         out.push_str(&format!(":{v}"));
-    }
-    out.push_str("},\"histograms\":{");
-    for (i, h) in metrics.histograms.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        write_escaped(&mut out, &h.name);
-        out.push_str(&format!(
-            ":{{\"count\":{},\"sum\":{},\"p50\":{},\"p99\":{},\"buckets\":[",
-            h.count,
-            h.sum,
-            h.quantile(0.5),
-            h.quantile(0.99)
-        ));
-        for (j, (upper, n)) in h.buckets.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("[{upper},{n}]"));
-        }
-        out.push_str("]}");
     }
     out.push_str("},\"sketches\":{");
     for (i, s) in metrics.sketches.iter().enumerate() {
@@ -308,9 +272,8 @@ fn prometheus_help(out: &mut String, text: &str) {
 }
 
 /// Prometheus text exposition (version 0.0.4) of a metrics snapshot:
-/// counters and gauges as-is, histograms as cumulative `_bucket{le=..}`
-/// families, sketches as summaries with `quantile` labels. HELP lines
-/// carry the original dotted metric name.
+/// counters and gauges as-is, sketches as summaries with `quantile`
+/// labels. HELP lines carry the original dotted metric name.
 pub fn prometheus_text(metrics: &MetricsSnapshot) -> String {
     let mut out = String::with_capacity(256);
     for (name, v) in &metrics.counters {
@@ -326,23 +289,6 @@ pub fn prometheus_text(metrics: &MetricsSnapshot) -> String {
         prometheus_help(&mut out, name);
         out.push('\n');
         out.push_str(&format!("# TYPE {p} gauge\n{p} {v}\n"));
-    }
-    for h in &metrics.histograms {
-        let p = prometheus_name(&h.name);
-        out.push_str(&format!("# HELP {p} "));
-        prometheus_help(&mut out, &h.name);
-        out.push('\n');
-        out.push_str(&format!("# TYPE {p} histogram\n"));
-        let mut cum = 0u64;
-        for &(upper, n) in &h.buckets {
-            cum += n;
-            if upper == u64::MAX {
-                continue; // folded into +Inf below
-            }
-            out.push_str(&format!("{p}_bucket{{le=\"{upper}\"}} {cum}\n"));
-        }
-        out.push_str(&format!("{p}_bucket{{le=\"+Inf\"}} {}\n", h.count));
-        out.push_str(&format!("{p}_sum {}\n{p}_count {}\n", h.sum, h.count));
     }
     for s in &metrics.sketches {
         let p = prometheus_name(&s.name);
@@ -368,9 +314,6 @@ mod tests {
         let reg = MetricsRegistry::new(true);
         reg.counter("a.count").add(7);
         reg.gauge("b.high_water").set_max(42);
-        let h = reg.histogram("c.wall_us");
-        h.record(3);
-        h.record(900);
         let s = reg.sketch("d.lat_us");
         s.record(40);
         s.record(4000);
@@ -438,10 +381,8 @@ mod tests {
         assert!(text.contains("# TYPE jportal_a_count counter"));
         assert!(text.contains("jportal_a_count 7"));
         assert!(text.contains("# TYPE jportal_b_high_water gauge"));
-        assert!(text.contains("# TYPE jportal_c_wall_us histogram"));
-        assert!(text.contains("jportal_c_wall_us_bucket{le=\"+Inf\"} 2"));
-        assert!(text.contains("jportal_c_wall_us_count 2"));
         assert!(text.contains("# TYPE jportal_d_lat_us summary"));
+        assert!(text.contains("jportal_d_lat_us_count 2"));
         assert!(text.contains("jportal_d_lat_us{quantile=\"0.99\"}"));
         // HELP carries the dotted original name.
         assert!(text.contains("# HELP jportal_a_count a.count"));
@@ -454,7 +395,7 @@ mod tests {
         let t = r.summary_table();
         assert!(t.contains("a.count"));
         assert!(t.contains("b.high_water"));
-        assert!(t.contains("c.wall_us"));
+        assert!(t.contains("d.lat_us"));
         assert!(t.contains("decode"));
         assert!(t.contains("collect"));
     }

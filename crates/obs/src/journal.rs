@@ -185,17 +185,6 @@ pub enum JournalEvent {
         /// Hole index.
         hole: u32,
     },
-    /// The interprocedural summary table prefiltered this hole's
-    /// candidate set before LCS ranking (emitted only when summaries
-    /// are enabled and the hole had candidates).
-    SummaryPrefilter {
-        /// Hole index.
-        hole: u32,
-        /// Candidates before the prefilter.
-        considered: u32,
-        /// Candidates rejected as summary-incompatible.
-        pruned: u32,
-    },
     /// Recovery consulted the persistent segment corpus for a hole no
     /// in-run candidate could confirm (emitted only when a corpus is
     /// attached; see `jportal-corpus`).
@@ -259,7 +248,6 @@ impl JournalEvent {
             JournalEvent::CandidateChosen { .. } => "candidate_chosen",
             JournalEvent::FallbackWalk { .. } => "fallback_walk",
             JournalEvent::HoleUnfilled { .. } => "hole_unfilled",
-            JournalEvent::SummaryPrefilter { .. } => "summary_prefilter",
             JournalEvent::CorpusLookup { .. } => "corpus_lookup",
             JournalEvent::LintBreak { .. } => "lint_break",
         }
@@ -353,15 +341,6 @@ impl JournalEvent {
                 ("confidence_ppm", Int(*confidence_ppm as u64)),
             ],
             JournalEvent::HoleUnfilled { hole } => vec![("hole", Int(*hole as u64))],
-            JournalEvent::SummaryPrefilter {
-                hole,
-                considered,
-                pruned,
-            } => vec![
-                ("hole", Int(*hole as u64)),
-                ("considered", Int(*considered as u64)),
-                ("pruned", Int(*pruned as u64)),
-            ],
             JournalEvent::CorpusLookup {
                 hole,
                 candidates,

@@ -5,8 +5,9 @@
 //! shim philosophy (no external dependencies anywhere):
 //!
 //! * a [`MetricsRegistry`] of sharded atomic counters, gauges and
-//!   fixed-bucket histograms, cheap enough to stay enabled in
-//!   production;
+//!   quantile sketches, cheap enough to stay enabled in production, each
+//!   declaring at registration whether its readings are deterministic
+//!   ([`Determinism`]);
 //! * scoped spans ([`span!`] / [`Obs::span`]) recording wall time and
 //!   logical parent/child structure into per-worker buffers that merge
 //!   deterministically;
@@ -55,7 +56,7 @@ pub use journal::{
     CandidateOutcome, Journal, JournalEvent, JournalKey, JournalRecord, JournalRecorder,
     JournalSnapshot,
 };
-pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
+pub use metrics::{exact_view, Counter, Determinism, Gauge, MetricsRegistry, MetricsSnapshot};
 pub use plane::{PlaneSnapshot, TelemetryConfig, TelemetryPlane};
 pub use profile::{ContentionCounter, ProfileConfig, ProfileSnapshot, Profiler, PROFILE_MAX_DEPTH};
 pub use series::{Series, SeriesPoint, SeriesStore};

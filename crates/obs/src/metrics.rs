@@ -1,9 +1,10 @@
 //! The metric registry: sharded atomic counters, set/max gauges and
-//! fixed-bucket power-of-two histograms.
+//! quantile sketches, each declared [`Determinism::Exact`] or
+//! [`Determinism::Scheduling`] when registered.
 //!
 //! Handles are cheap `Arc` clones registered by name; updating one is a
-//! relaxed atomic on a thread-striped shard (counters) or a single atomic
-//! (gauges, histogram buckets), so instruments can stay on in production.
+//! relaxed atomic on a thread-striped shard (counters, sketches) or a
+//! single atomic (gauges), so instruments can stay on in production.
 //! A registry built disabled hands out **no-op handles**: the update fast
 //! path is then a single branch on an `Option` discriminant — no
 //! allocation, no atomic access — which is what lets the pipeline keep
@@ -12,8 +13,9 @@
 //! Snapshots iterate a `BTreeMap`, so exported metrics are always sorted
 //! by name regardless of registration or update order.
 
+use crate::series::Series;
 use crate::sketch::{Sketch, SketchCells, SketchSnapshot};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -166,127 +168,23 @@ impl std::fmt::Debug for Gauge {
     }
 }
 
-/// Number of histogram buckets: bucket `i` counts values whose bit
-/// length is `i` (i.e. `v == 0` lands in bucket 0, `v ∈ [2^(i-1), 2^i)`
-/// in bucket `i`), clamped into the last bucket.
-pub const HISTOGRAM_BUCKETS: usize = 32;
-
-/// Backing cells of one histogram.
-#[derive(Default)]
-pub(crate) struct HistogramCells {
-    buckets: [AtomicU64; HISTOGRAM_BUCKETS],
-    count: AtomicU64,
-    sum: AtomicU64,
-}
-
-/// Bucket index of a value (its bit length, clamped).
-fn bucket_of(v: u64) -> usize {
-    ((u64::BITS - v.leading_zeros()) as usize).min(HISTOGRAM_BUCKETS - 1)
-}
-
-/// Inclusive upper bound of a bucket (`u64::MAX` for the overflow
-/// bucket).
-fn bucket_upper(i: usize) -> u64 {
-    if i >= HISTOGRAM_BUCKETS - 1 {
-        u64::MAX
-    } else {
-        (1u64 << i) - 1
-    }
-}
-
-/// A fixed-bucket histogram over `u64` values (power-of-two bounds).
-#[derive(Clone, Default)]
-pub struct Histogram(Option<Arc<HistogramCells>>);
-
-impl Histogram {
-    /// A handle that ignores every update.
-    pub fn noop() -> Histogram {
-        Histogram(None)
-    }
-
-    /// Records one observation.
-    #[inline]
-    pub fn record(&self, v: u64) {
-        if let Some(cells) = &self.0 {
-            cells.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
-            cells.count.fetch_add(1, Ordering::Relaxed);
-            cells.sum.fetch_add(v, Ordering::Relaxed);
-        }
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.0
-            .as_ref()
-            .map(|c| c.count.load(Ordering::Relaxed))
-            .unwrap_or(0)
-    }
-
-    /// Sum of observations.
-    pub fn sum(&self) -> u64 {
-        self.0
-            .as_ref()
-            .map(|c| c.sum.load(Ordering::Relaxed))
-            .unwrap_or(0)
-    }
-}
-
-impl std::fmt::Debug for Histogram {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Histogram")
-            .field("count", &self.count())
-            .field("sum", &self.sum())
-            .finish()
-    }
-}
-
-/// Point-in-time reading of one histogram.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct HistogramSnapshot {
-    /// Metric name.
-    pub name: String,
-    /// Number of observations.
-    pub count: u64,
-    /// Sum of observations.
-    pub sum: u64,
-    /// Non-empty buckets as `(inclusive upper bound, count)`.
-    pub buckets: Vec<(u64, u64)>,
-}
-
-/// Inclusive lower bound of the bucket with this inclusive upper bound
-/// (buckets are power-of-two ranges: upper `2^i - 1` pairs with lower
-/// `2^(i-1)`; the overflow bucket starts where the last finite one ends).
-fn bucket_lower(upper: u64) -> u64 {
-    match upper {
-        0 => 0,
-        u64::MAX => 1u64 << (HISTOGRAM_BUCKETS - 2),
-        u => u.div_ceil(2),
-    }
-}
-
-impl HistogramSnapshot {
-    /// Approximate quantile (`0.0..=1.0`), linearly interpolated within
-    /// the bucket where the cumulative count crosses `q * count`
-    /// (assuming mass is uniform inside the bucket). Reporting the
-    /// bucket's power-of-two upper bound instead would overestimate by
-    /// up to 2×.
-    pub fn quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let target = (q * self.count as f64).ceil().max(1.0) as u64;
-        let mut cum = 0u64;
-        for &(upper, n) in &self.buckets {
-            if cum + n >= target {
-                let lower = bucket_lower(upper);
-                let inside = (target - cum) as f64; // 1..=n within this bucket
-                let width = (upper - lower) as f64;
-                return lower + (width * (inside - 0.5) / n as f64).round() as u64;
-            }
-            cum += n;
-        }
-        self.buckets.last().map(|&(u, _)| u).unwrap_or(0)
-    }
+/// Whether an instrument's readings are a function of the analyzed
+/// input alone, declared when the instrument is registered.
+///
+/// Determinism tests compare exactly the `Exact` instruments (see
+/// [`exact_view`]), so a new scheduling-dependent instrument is declared
+/// once, where it is registered, instead of on every test's exclusion
+/// list.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum Determinism {
+    /// Identical on every run over the same input, at any worker count:
+    /// a counter's total, a gauge's value, a sketch's observation count.
+    #[default]
+    Exact,
+    /// Depends on thread scheduling or on state outliving one analysis:
+    /// lock contention, cache races between workers, queue depth at
+    /// sampling time, the capacity of a thread-local scratch buffer.
+    Scheduling,
 }
 
 /// Point-in-time reading of a whole registry, sorted by metric name.
@@ -296,10 +194,13 @@ pub struct MetricsSnapshot {
     pub counters: Vec<(String, u64)>,
     /// `(name, value)` pairs, sorted by name.
     pub gauges: Vec<(String, u64)>,
-    /// Histograms, sorted by name.
-    pub histograms: Vec<HistogramSnapshot>,
     /// Quantile sketches, sorted by name.
     pub sketches: Vec<SketchSnapshot>,
+    /// Qualified names (`counter.<name>`, `gauge.<name>`,
+    /// `sketch.<name>`) of the instruments registered as
+    /// [`Determinism::Scheduling`], sorted. Every other instrument is
+    /// [`Determinism::Exact`].
+    pub scheduling: Vec<String>,
 }
 
 impl MetricsSnapshot {
@@ -319,12 +220,19 @@ impl MetricsSnapshot {
             .map(|i| self.gauges[i].1)
     }
 
-    /// The histogram with this exact name, if present.
-    pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
-        self.histograms
-            .binary_search_by(|h| h.name.as_str().cmp(name))
-            .ok()
-            .map(|i| &self.histograms[i])
+    /// The determinism class of the instrument with this qualified name
+    /// (`counter.<name>`, `gauge.<name>` or `sketch.<name>`, the naming
+    /// the plane's series use).
+    pub fn determinism(&self, qualified: &str) -> Determinism {
+        if self
+            .scheduling
+            .binary_search_by(|n| n.as_str().cmp(qualified))
+            .is_ok()
+        {
+            Determinism::Scheduling
+        } else {
+            Determinism::Exact
+        }
     }
 
     /// The sketch with this exact name, if present.
@@ -336,18 +244,74 @@ impl MetricsSnapshot {
     }
 }
 
+/// The deterministic part of a telemetry capture, as plain comparable
+/// data: every [`Determinism::Exact`] counter and gauge value and sketch
+/// observation count in `metrics`, and the points of every `Exact` series
+/// in `series`, keyed by qualified name (series under `series.`).
+///
+/// Two analyses of the same input produce equal views at any worker
+/// count. This is the one comparison every determinism check makes;
+/// instruments opt out by registering as [`Determinism::Scheduling`].
+pub fn exact_view(metrics: &MetricsSnapshot, series: &[Series]) -> BTreeMap<String, Vec<u64>> {
+    let readings = metrics
+        .counters
+        .iter()
+        .map(|(n, v)| (format!("counter.{n}"), *v))
+        .chain(
+            metrics
+                .gauges
+                .iter()
+                .map(|(n, v)| (format!("gauge.{n}"), *v)),
+        )
+        .chain(
+            metrics
+                .sketches
+                .iter()
+                .map(|s| (format!("sketch.{}", s.name), s.count)),
+        );
+    let mut view: BTreeMap<String, Vec<u64>> = readings
+        .filter(|(name, _)| metrics.determinism(name) == Determinism::Exact)
+        .map(|(name, v)| (name, vec![v]))
+        .collect();
+    for s in series {
+        if s.determinism == Determinism::Exact {
+            let points = s
+                .points
+                .iter()
+                .flat_map(|p| [p.seq, p.ts, p.value, p.delta as u64])
+                .collect();
+            view.insert(format!("series.{}", s.name), points);
+        }
+    }
+    view
+}
+
 #[derive(Default)]
 struct RegistryInner {
     counters: BTreeMap<String, Arc<CounterCells>>,
     gauges: BTreeMap<String, Arc<AtomicU64>>,
-    histograms: BTreeMap<String, Arc<HistogramCells>>,
     sketches: BTreeMap<String, Arc<SketchCells>>,
+    /// Qualified names of the instruments registered as
+    /// [`Determinism::Scheduling`] (see [`MetricsSnapshot::scheduling`]).
+    scheduling: BTreeSet<String>,
+}
+
+impl RegistryInner {
+    /// Records the class of the `kind` instrument `name`. Scheduling is
+    /// sticky: once any site declares an instrument scheduling-dependent,
+    /// it stays so.
+    fn declare(&mut self, kind: &str, name: &str, class: Determinism) {
+        if class == Determinism::Scheduling {
+            self.scheduling.insert(format!("{kind}.{name}"));
+        }
+    }
 }
 
 /// A named collection of instruments.
 ///
-/// Registration (`counter`/`gauge`/`histogram`) takes a short lock and
-/// is get-or-create by name; callers hold the returned handles, so hot
+/// Registration (`counter`/`gauge`/`sketch`, or their `_as` forms that
+/// declare a [`Determinism`] class) takes a short lock and is
+/// get-or-create by name; callers hold the returned handles, so hot
 /// paths never touch the registry itself. A registry constructed
 /// disabled registers nothing and hands out no-op handles.
 ///
@@ -376,8 +340,8 @@ impl std::fmt::Debug for RegistryInner {
         f.debug_struct("RegistryInner")
             .field("counters", &self.counters.len())
             .field("gauges", &self.gauges.len())
-            .field("histograms", &self.histograms.len())
             .field("sketches", &self.sketches.len())
+            .field("scheduling", &self.scheduling.len())
             .finish()
     }
 }
@@ -396,12 +360,18 @@ impl MetricsRegistry {
         self.enabled
     }
 
-    /// Get-or-create the counter with this name.
+    /// Get-or-create the [`Determinism::Exact`] counter with this name.
     pub fn counter(&self, name: &str) -> Counter {
+        self.counter_as(name, Determinism::Exact)
+    }
+
+    /// Get-or-create the counter with this name, declaring its class.
+    pub fn counter_as(&self, name: &str, class: Determinism) -> Counter {
         if !self.enabled {
             return Counter::noop();
         }
         let mut inner = self.inner.lock().unwrap();
+        inner.declare("counter", name, class);
         let cells = inner
             .counters
             .entry(name.to_string())
@@ -409,12 +379,18 @@ impl MetricsRegistry {
         Counter(Some(Arc::clone(cells)))
     }
 
-    /// Get-or-create the gauge with this name.
+    /// Get-or-create the [`Determinism::Exact`] gauge with this name.
     pub fn gauge(&self, name: &str) -> Gauge {
+        self.gauge_as(name, Determinism::Exact)
+    }
+
+    /// Get-or-create the gauge with this name, declaring its class.
+    pub fn gauge_as(&self, name: &str, class: Determinism) -> Gauge {
         if !self.enabled {
             return Gauge::noop();
         }
         let mut inner = self.inner.lock().unwrap();
+        inner.declare("gauge", name, class);
         let cell = inner
             .gauges
             .entry(name.to_string())
@@ -422,25 +398,21 @@ impl MetricsRegistry {
         Gauge(Some(Arc::clone(cell)))
     }
 
-    /// Get-or-create the histogram with this name.
-    pub fn histogram(&self, name: &str) -> Histogram {
-        if !self.enabled {
-            return Histogram::noop();
-        }
-        let mut inner = self.inner.lock().unwrap();
-        let cells = inner
-            .histograms
-            .entry(name.to_string())
-            .or_insert_with(|| Arc::new(HistogramCells::default()));
-        Histogram(Some(Arc::clone(cells)))
+    /// Get-or-create the [`Determinism::Exact`] quantile sketch with
+    /// this name (its observation count is what is exact; the observed
+    /// values are usually durations).
+    pub fn sketch(&self, name: &str) -> Sketch {
+        self.sketch_as(name, Determinism::Exact)
     }
 
-    /// Get-or-create the quantile sketch with this name.
-    pub fn sketch(&self, name: &str) -> Sketch {
+    /// Get-or-create the quantile sketch with this name, declaring its
+    /// class.
+    pub fn sketch_as(&self, name: &str, class: Determinism) -> Sketch {
         if !self.enabled {
             return Sketch::noop();
         }
         let mut inner = self.inner.lock().unwrap();
+        inner.declare("sketch", name, class);
         let cells = inner
             .sketches
             .entry(name.to_string())
@@ -462,29 +434,12 @@ impl MetricsRegistry {
                 .iter()
                 .map(|(n, g)| (n.clone(), g.load(Ordering::Relaxed)))
                 .collect(),
-            histograms: inner
-                .histograms
-                .iter()
-                .map(|(n, h)| HistogramSnapshot {
-                    name: n.clone(),
-                    count: h.count.load(Ordering::Relaxed),
-                    sum: h.sum.load(Ordering::Relaxed),
-                    buckets: h
-                        .buckets
-                        .iter()
-                        .enumerate()
-                        .filter_map(|(i, b)| {
-                            let n = b.load(Ordering::Relaxed);
-                            (n > 0).then(|| (bucket_upper(i), n))
-                        })
-                        .collect(),
-                })
-                .collect(),
             sketches: inner
                 .sketches
                 .iter()
                 .map(|(n, s)| Sketch::snapshot_named(s, n))
                 .collect(),
+            scheduling: inner.scheduling.iter().cloned().collect(),
         }
     }
 }
@@ -523,11 +478,11 @@ mod tests {
     fn disabled_registry_is_a_noop() {
         let reg = MetricsRegistry::new(false);
         let c = reg.counter("c");
-        let g = reg.gauge("g");
-        let h = reg.histogram("h");
+        let g = reg.gauge_as("g", Determinism::Scheduling);
+        let s = reg.sketch("s");
         c.add(10);
         g.set(10);
-        h.record(10);
+        s.record(10);
         assert!(!c.is_live());
         assert_eq!(c.value(), 0);
         assert_eq!(reg.snapshot(), MetricsSnapshot::default());
@@ -542,43 +497,6 @@ mod tests {
         assert_eq!(g.value(), 5);
         g.set(1);
         assert_eq!(g.value(), 1);
-    }
-
-    #[test]
-    fn histogram_buckets_and_quantiles() {
-        let reg = MetricsRegistry::new(true);
-        let h = reg.histogram("lat");
-        for v in [0u64, 1, 2, 3, 4, 100, 1000] {
-            h.record(v);
-        }
-        let snap = reg.snapshot();
-        let hs = snap.histogram("lat").unwrap();
-        assert_eq!(hs.count, 7);
-        assert_eq!(hs.sum, 1110);
-        // v == 0 lands in bucket 0 (upper bound 0).
-        assert_eq!(hs.buckets[0], (0, 1));
-        // 1000 lands in [512, 1023]; the interpolated estimate must stay
-        // inside that bucket instead of jumping to the upper bound.
-        let p99 = hs.quantile(0.99);
-        assert!((512..=1023).contains(&p99), "p99 = {p99}");
-        assert_eq!(hs.quantile(0.0), 0);
-    }
-
-    #[test]
-    fn quantile_interpolates_within_bucket() {
-        // Regression: quantile() used to return the bucket's power-of-two
-        // upper bound — here 127, a 32% overestimate of the true median.
-        let reg = MetricsRegistry::new(true);
-        let h = reg.histogram("lat");
-        for _ in 0..1000 {
-            h.record(96); // bucket [64, 127]
-        }
-        let snap = reg.snapshot();
-        let hs = snap.histogram("lat").unwrap();
-        // Uniform-within-bucket interpolation puts the median at the
-        // bucket midpoint, nowhere near the old 127 answer.
-        assert_eq!(hs.quantile(0.5), 95);
-        assert!(hs.quantile(0.99) < 127);
     }
 
     #[test]
@@ -611,13 +529,22 @@ mod tests {
     }
 
     #[test]
-    fn bucket_mapping_is_monotone() {
-        let mut last = 0;
-        for v in [0u64, 1, 2, 4, 8, 1 << 20, u64::MAX] {
-            let b = bucket_of(v);
-            assert!(b >= last);
-            last = b;
-            assert!(v <= bucket_upper(b));
-        }
+    fn determinism_is_declared_at_registration_and_sticky() {
+        let reg = MetricsRegistry::new(true);
+        reg.counter("exact").incr();
+        reg.counter_as("racy", Determinism::Scheduling).incr();
+        // A later default registration never clears the declaration.
+        reg.counter("racy").incr();
+        reg.gauge_as("racy", Determinism::Scheduling).set(1);
+        reg.sketch("lat").record(5);
+        let snap = reg.snapshot();
+        assert_eq!(snap.scheduling, vec!["counter.racy", "gauge.racy"]);
+        assert_eq!(snap.determinism("counter.exact"), Determinism::Exact);
+        assert_eq!(snap.determinism("counter.racy"), Determinism::Scheduling);
+        assert_eq!(snap.determinism("sketch.lat"), Determinism::Exact);
+        let view = exact_view(&snap, &[]);
+        let keys: Vec<&str> = view.keys().map(String::as_str).collect();
+        assert_eq!(keys, vec!["counter.exact", "sketch.lat"]);
+        assert_eq!(view["sketch.lat"], vec![1], "sketches compare by count");
     }
 }

@@ -16,7 +16,7 @@
 //! record only on the slow path where the lock was actually held by
 //! someone else.
 
-use crate::metrics::{Counter, MetricsRegistry};
+use crate::metrics::{Counter, Determinism, MetricsRegistry};
 use crate::sketch::Sketch;
 use std::cell::{OnceCell, RefCell};
 use std::collections::HashMap;
@@ -583,12 +583,15 @@ impl ContentionCounter {
     }
 
     /// Register `{name}.acquires`, `{name}.contended`, `{name}.wait_us`
-    /// under the given registry (noop handles when it is disabled).
+    /// under the given registry (noop handles when it is disabled), all
+    /// [`Determinism::Scheduling`]: whether and how often a lock is taken
+    /// or contended depends on how workers interleave.
     pub fn register(reg: &MetricsRegistry, name: &str) -> ContentionCounter {
+        let class = Determinism::Scheduling;
         ContentionCounter {
-            acquires: reg.counter(&format!("{name}.acquires")),
-            contended: reg.counter(&format!("{name}.contended")),
-            wait_us: reg.sketch(&format!("{name}.wait_us")),
+            acquires: reg.counter_as(&format!("{name}.acquires"), class),
+            contended: reg.counter_as(&format!("{name}.contended"), class),
+            wait_us: reg.sketch_as(&format!("{name}.wait_us"), class),
         }
     }
 

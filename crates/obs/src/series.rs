@@ -32,7 +32,7 @@
 //! assert_eq!(s.rate_per_unit(), Some(0.05)); // 5 over 100 ts units
 //! ```
 
-use crate::metrics::MetricsSnapshot;
+use crate::metrics::{Determinism, MetricsSnapshot};
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
 
@@ -55,6 +55,8 @@ pub struct SeriesPoint {
 pub struct Series {
     /// Qualified metric name (`counter.*` / `gauge.*`).
     pub name: String,
+    /// The class the metric was registered with.
+    pub determinism: Determinism,
     /// Oldest-to-newest retained points.
     pub points: Vec<SeriesPoint>,
 }
@@ -81,6 +83,17 @@ impl Series {
 struct Ring {
     points: VecDeque<SeriesPoint>,
     last_value: u64,
+    determinism: Determinism,
+}
+
+impl Ring {
+    fn series(&self, name: &str) -> Series {
+        Series {
+            name: name.to_string(),
+            determinism: self.determinism,
+            points: self.points.iter().copied().collect(),
+        }
+    }
 }
 
 /// Bounded per-metric time-series rings fed by periodic snapshots.
@@ -121,7 +134,9 @@ impl SeriesStore {
             .map(|(n, v)| (format!("counter.{n}"), *v))
             .chain(snap.gauges.iter().map(|(n, v)| (format!("gauge.{n}"), *v)))
         {
+            let determinism = snap.determinism(&name);
             let ring = self.rings.entry(name).or_default();
+            ring.determinism = determinism;
             let delta = if ring.points.is_empty() {
                 value as i64
             } else {
@@ -142,10 +157,7 @@ impl SeriesStore {
 
     /// The retained window of this qualified metric name.
     pub fn series(&self, name: &str) -> Option<Series> {
-        self.rings.get(name).map(|r| Series {
-            name: name.to_string(),
-            points: r.points.iter().copied().collect(),
-        })
+        self.rings.get(name).map(|r| r.series(name))
     }
 
     /// All qualified metric names with at least one point, sorted.
@@ -155,13 +167,7 @@ impl SeriesStore {
 
     /// Every retained series, sorted by name.
     pub fn all(&self) -> Vec<Series> {
-        self.rings
-            .iter()
-            .map(|(n, r)| Series {
-                name: n.clone(),
-                points: r.points.iter().copied().collect(),
-            })
-            .collect()
+        self.rings.iter().map(|(n, r)| r.series(n)).collect()
     }
 }
 
@@ -223,6 +229,19 @@ mod tests {
         let mut one = SeriesStore::new(4);
         one.tick(5, &reg.snapshot());
         assert_eq!(one.series("counter.bytes").unwrap().rate_per_unit(), None);
+    }
+
+    #[test]
+    fn series_carry_the_registered_class() {
+        let reg = MetricsRegistry::new(true);
+        reg.counter("exact").incr();
+        reg.gauge_as("depth", Determinism::Scheduling).set(3);
+        let mut store = SeriesStore::new(4);
+        store.tick(1, &reg.snapshot());
+        let exact = store.series("counter.exact").unwrap();
+        assert_eq!(exact.determinism, Determinism::Exact);
+        let depth = store.series("gauge.depth").unwrap();
+        assert_eq!(depth.determinism, Determinism::Scheduling);
     }
 
     #[test]

@@ -35,7 +35,7 @@ use crate::flame::flame_svg;
 use crate::plane::{PlaneSnapshot, TelemetryPlane};
 use crate::series::Series;
 use crate::sketch::Sketch;
-use crate::Counter;
+use crate::{Counter, Determinism};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -358,8 +358,8 @@ impl TelemetryServer {
         let local = listener.local_addr()?;
         let registry = plane.obs().registry();
         let shared = Arc::new(ServeShared {
-            requests: registry.counter("obs.serve.requests"),
-            scrape_us: registry.sketch("obs.serve.scrape_us"),
+            requests: registry.counter_as("obs.serve.requests", Determinism::Scheduling),
+            scrape_us: registry.sketch_as("obs.serve.scrape_us", Determinism::Scheduling),
             plane,
             shutdown: AtomicBool::new(false),
         });
@@ -509,6 +509,7 @@ mod tests {
         use crate::series::{Series, SeriesPoint};
         let s = Series {
             name: "counter.x".into(),
+            determinism: Default::default(),
             points: vec![
                 SeriesPoint {
                     seq: 0,
@@ -529,6 +530,7 @@ mod tests {
         assert!(doc.contains("\"delta\":-2"));
         let empty = Series {
             name: "g".into(),
+            determinism: Default::default(),
             points: Vec::new(),
         };
         crate::json::validate(&series_json(&empty)).unwrap();

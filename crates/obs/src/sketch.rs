@@ -1,11 +1,10 @@
 //! Streaming quantile sketches: log-linear bucketed, mergeable, with a
 //! bounded relative error on every reported quantile.
 //!
-//! The 32-bucket power-of-two [`crate::Histogram`] is fine for orders of
-//! magnitude but useless for percentiles — a p99 read off a power-of-two
-//! bucket bound can overestimate by up to 2×. A [`Sketch`] keeps the
-//! same update cost (one relaxed atomic add into a fixed array, no
-//! allocation) while bounding the quantile error:
+//! A p99 read off a power-of-two bucket bound can overestimate by up to
+//! 2×. A [`Sketch`] keeps the update cost of such a histogram (one
+//! relaxed atomic add into a fixed array, no allocation) while bounding
+//! the quantile error:
 //!
 //! * values below [`SKETCH_LINEAR_MAX`] get **one bucket each** (exact);
 //! * larger values are bucketed **log-linearly**: each power-of-two

@@ -22,9 +22,6 @@ fn golden_registry() -> MetricsRegistry {
     reg.counter("decode.packets").add(1234);
     reg.counter("esc\\ape.count").add(1);
     reg.gauge("ring.high-water").set_max(77);
-    let h = reg.histogram("h.wall_us");
-    h.record(3);
-    h.record(900);
     let s = reg.sketch("s.lat_us");
     s.record(40);
     s.record(4000);
@@ -44,21 +41,6 @@ fn prometheus_text_matches_golden() {
         "Prometheus exposition drifted from tests/golden/metrics.prom; if the \
          change is intentional, rerun with REGENERATE_GOLDEN=1 and review the diff"
     );
-}
-
-#[test]
-fn prometheus_histogram_buckets_are_cumulative_and_fold_inf() {
-    let text = prometheus_text(&golden_registry().snapshot());
-    // No raw u64::MAX upper bound may leak; the overflow bucket is +Inf.
-    assert!(!text.contains("18446744073709551615"));
-    assert!(text.contains("jportal_h_wall_us_bucket{le=\"+Inf\"} 2"));
-    // Cumulative counts never decrease down a family.
-    let mut last = 0u64;
-    for line in text.lines().filter(|l| l.contains("_bucket{le=")) {
-        let n: u64 = line.rsplit(' ').next().unwrap().parse().unwrap();
-        assert!(n >= last, "bucket counts must be cumulative: {line}");
-        last = n;
-    }
 }
 
 #[test]

@@ -14,7 +14,7 @@
 //! segment, score a candidate), so scoped threads per phase are cheap
 //! relative to the work they carry.
 
-use jportal_obs::{ContentionCounter, Gauge, MetricsRegistry};
+use jportal_obs::{ContentionCounter, Determinism, Gauge, MetricsRegistry};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -37,10 +37,12 @@ impl ParMetrics {
     }
 
     /// Registers `par.queue.pending` and `lock.par.collect.*` (noop
-    /// handles when the registry is disabled).
+    /// handles when the registry is disabled), all
+    /// [`Determinism::Scheduling`]: the queue depth a reading sees
+    /// depends on how workers claim items.
     pub fn register(reg: &MetricsRegistry) -> ParMetrics {
         ParMetrics {
-            pending: reg.gauge("par.queue.pending"),
+            pending: reg.gauge_as("par.queue.pending", Determinism::Scheduling),
             collect: ContentionCounter::register(reg, "lock.par.collect"),
         }
     }

@@ -64,19 +64,14 @@ fn analyze(w: &Workload, r: &RunResult, parallelism: usize) -> Outcome {
     }
 }
 
-/// Sorted timing-free span structure. `prewarm` only exists with more
-/// than one worker, and `segregate` records the configured worker count
-/// as an argument: the one is dropped, the other masked.
+/// Sorted timing-free span structure, minus the `prewarm` span that only
+/// exists with more than one worker.
 fn span_structure(t: &TelemetryReport) -> Vec<String> {
     let mut v: Vec<String> = t
         .spans
         .iter()
         .filter(|s| s.name != "prewarm")
-        .map(|s| {
-            let mut s = s.clone();
-            s.args.retain(|&(key, _)| key != "workers");
-            s.structure()
-        })
+        .map(|s| s.structure())
         .collect();
     v.sort();
     v

@@ -4,24 +4,21 @@
 //! ticks happen on the main thread at fixed points, and every metric
 //! they sample is deterministically merged before the tick.
 //!
-//! Scheduling-dependent metrics are excluded by contract: `cfg.dfa.*`
-//! (cache hit/miss splits depend on worker interleaving),
-//! `obs.serve.*` (only a bound server feeds them), the `lock.*`
-//! contention families (whether an acquisition contends is pure
-//! scheduling) and `par.queue.*` (queue depth at scrape time depends
-//! on claim interleaving).
+//! Instruments registered `Determinism::Scheduling` (lock contention,
+//! DFA cache races, queue depth, scratch capacity, the scrape server's
+//! own counters) are outside the contract; `exact_view` leaves them out.
 
 use jportal::core::{JPortal, JPortalConfig};
 use jportal::jvm::{Jvm, JvmConfig};
-use jportal::obs::TelemetryConfig;
+use jportal::obs::{exact_view, TelemetryConfig};
 use jportal::workloads::workload_by_name;
 use std::collections::BTreeMap;
 
-/// Every stored series of the plane's newest snapshot, minus the
-/// scheduling-dependent families, as plain data.
-type SeriesMap = BTreeMap<String, Vec<(u64, u64, u64, i64)>>;
+/// The `Exact` part of the plane's newest snapshot: its metrics and
+/// every stored series, as plain data.
+type ExactView = BTreeMap<String, Vec<u64>>;
 
-fn analyze_series(w_name: &str, parallelism: Option<usize>) -> (u64, SeriesMap) {
+fn analyze_series(w_name: &str, parallelism: Option<usize>) -> (u64, ExactView) {
     let w = workload_by_name(w_name, 1);
     let r = Jvm::new(JvmConfig {
         cores: if w.multithreaded { 2 } else { 1 },
@@ -44,25 +41,7 @@ fn analyze_series(w_name: &str, parallelism: Option<usize>) -> (u64, SeriesMap) 
     jp.analyze(r.traces.as_ref().unwrap(), &r.archive);
     let plane = jp.telemetry_plane().unwrap();
     let snap = plane.latest();
-    let series = snap
-        .series
-        .iter()
-        .filter(|s| {
-            !s.name.contains("cfg.dfa.")
-                && !s.name.contains("obs.serve.")
-                && !s.name.starts_with("lock.")
-                && !s.name.starts_with("par.queue.")
-        })
-        .map(|s| {
-            let points = s
-                .points
-                .iter()
-                .map(|p| (p.seq, p.ts, p.value, p.delta))
-                .collect();
-            (s.name.clone(), points)
-        })
-        .collect();
-    (snap.seq, series)
+    (snap.seq, exact_view(&snap.metrics, &snap.series))
 }
 
 #[test]
@@ -74,11 +53,17 @@ fn deterministic_series_are_parallelism_independent() {
         assert!(seq_seq >= 3, "{name}: expected at least the stage ticks");
         let seq_names: Vec<&String> = sequential.keys().collect();
         let par_names: Vec<&String> = parallel.keys().collect();
-        assert_eq!(seq_names, par_names, "{name}: series sets differ");
-        for (series, points) in &sequential {
+        assert_eq!(seq_names, par_names, "{name}: instrument sets differ");
+        assert!(
+            seq_names
+                .iter()
+                .any(|n| n.starts_with("series.counter.core.")),
+            "{name}: no pipeline series compared"
+        );
+        for (metric, readings) in &sequential {
             assert_eq!(
-                points, &parallel[series],
-                "{name}: series {series} differs between Some(1) and None"
+                readings, &parallel[metric],
+                "{name}: {metric} differs between Some(1) and None"
             );
         }
     }
