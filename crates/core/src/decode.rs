@@ -92,7 +92,6 @@ pub fn decode_segment(program: &Program, archive: &MetadataArchive, raw: &RawSeg
     let mut tnt: VecDeque<bool> = VecDeque::new();
     // Index of an interpreted conditional event awaiting its direction.
     let mut pending_dir: Option<usize> = None;
-    let mut last_jit_branch: Option<(usize, MethodId, Bci)> = None;
 
     for tp in raw.packets() {
         let ts = tp.ts;
@@ -105,28 +104,12 @@ pub fn decode_segment(program: &Program, archive: &MetadataArchive, raw: &RawSeg
                         out.events[idx].sym.dir = BranchDir::from_taken(bit);
                     }
                 }
-                state = drain_jit(
-                    program,
-                    archive,
-                    state,
-                    &mut tnt,
-                    &mut out,
-                    &mut last_jit_branch,
-                    ts,
-                );
+                state = drain_jit(program, archive, state, &mut tnt, &mut out, ts);
             }
             Packet::Tip { ip, .. } | Packet::TipPge { ip, .. } => {
                 pending_dir = None;
                 state = anchor(archive, templates, *ip, ts, &mut out, &mut pending_dir);
-                state = drain_jit(
-                    program,
-                    archive,
-                    state,
-                    &mut tnt,
-                    &mut out,
-                    &mut last_jit_branch,
-                    ts,
-                );
+                state = drain_jit(program, archive, state, &mut tnt, &mut out, ts);
             }
             Packet::TipPgd { .. } => {
                 state = WalkState::Idle;
@@ -203,7 +186,6 @@ fn drain_jit(
     mut state: WalkState,
     tnt: &mut VecDeque<bool>,
     out: &mut BcSegment,
-    last_jit_branch: &mut Option<(usize, MethodId, Bci)>,
     ts: u64,
 ) -> WalkState {
     loop {
@@ -232,9 +214,6 @@ fn drain_jit(
                         bci: Some(rec.bci),
                         ts,
                     });
-                    if insn_bc.is_conditional_branch() {
-                        *last_jit_branch = Some((out.events.len() - 1, method, rec.bci));
-                    }
                 }
             }
         }

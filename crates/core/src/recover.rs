@@ -19,7 +19,7 @@
 use jportal_analysis::{AnalysisIndex, LintStep, SummaryTable};
 use jportal_bytecode::{Bci, MethodId, OpKind, Program};
 use jportal_cfg::{FxHashMap, Icfg, NodeId, Sym, Tier};
-use jportal_corpus::pack::{suffix_swar, PackedSyms};
+use jportal_corpus::pack::{load8_ops, suffix_swar, PackedSyms};
 use jportal_corpus::Corpus;
 use jportal_ipt::ring::LossRecord;
 use jportal_obs::{CandidateOutcome, Journal, JournalEvent, JournalRecorder};
@@ -286,7 +286,60 @@ fn walk_confidence(fill_len: usize, estimate: f64) -> f64 {
     0.3 * length_agreement(fill_len, estimate)
 }
 
-/// Pre-indexed segment: symbols plus tier-1/tier-2 position indices.
+/// Number of call-structure ops in an anchor entry's context word.
+const CONTEXT_OPS: usize = 8;
+
+/// Context word of a position with fewer than [`CONTEXT_OPS`]
+/// call-structure ops before it. No real word equals it: every byte lane
+/// of a real word holds an `OpKind`, and none is `0xff`.
+const NO_CONTEXT: u64 = u64::MAX;
+
+const _: () = assert!(OpKind::ALL.len() < 0xff);
+
+/// One abstract tier of a segment (`α_l` of Definition 5.2): the tier's
+/// symbols packed for the SWAR suffix kernel, plus a rank array that
+/// maps a concrete position to a cursor into them.
+#[derive(Debug, Clone)]
+struct TierStream {
+    /// `rank[i]`: how many tier symbols sit at positions `< i`
+    /// (`len + 1` entries).
+    rank: Vec<u32>,
+    /// The tier's symbols, in order.
+    packed: PackedSyms,
+}
+
+impl TierStream {
+    fn new(syms: &[Sym], tier: Tier) -> TierStream {
+        let mut stream = TierStream {
+            rank: Vec::with_capacity(syms.len() + 1),
+            packed: PackedSyms::default(),
+        };
+        for &s in syms {
+            stream.rank.push(stream.packed.len as u32);
+            if tier.keeps(s.op) {
+                stream.packed.push(s);
+            }
+        }
+        stream.rank.push(stream.packed.len as u32);
+        stream
+    }
+
+    /// The [`CONTEXT_OPS`] tier op bytes before concrete position `end`
+    /// as one word, or [`NO_CONTEXT`] when fewer precede it. Two
+    /// positions whose words differ share a tier suffix shorter than
+    /// [`CONTEXT_OPS`].
+    fn context(&self, end: usize) -> u64 {
+        let r = self.rank[end] as usize;
+        if r >= CONTEXT_OPS {
+            load8_ops(&self.packed.ops, r)
+        } else {
+            NO_CONTEXT
+        }
+    }
+}
+
+/// Pre-indexed segment: symbols, packed for the SWAR suffix kernel at
+/// all three tiers.
 #[derive(Debug, Clone)]
 struct IndexedSegment {
     syms: Vec<Sym>,
@@ -294,37 +347,75 @@ struct IndexedSegment {
     /// eight per word, dir codes thirty-two per word) — the concrete
     /// tier scores on these, eight symbols per step.
     packed: PackedSyms,
-    /// Positions of tier-1 (call-structure) symbols.
+    /// Tier 1: call structure.
+    calls: TierStream,
+    /// Tier 2: control structure.
+    control: TierStream,
+    /// Positions of tier-1 symbols: the scalar scoring oracle's index.
+    #[cfg(test)]
     t1: Vec<u32>,
-    /// Positions of tier-2 (control) symbols.
+    /// Positions of tier-2 symbols.
+    #[cfg(test)]
     t2: Vec<u32>,
 }
 
 impl IndexedSegment {
     fn new(view: &SegmentView) -> IndexedSegment {
-        let events = &view.events;
-        let syms: Vec<Sym> = events.iter().map(|e| e.sym).collect();
-        let mut t1 = Vec::new();
-        let mut t2 = Vec::new();
-        for (i, s) in syms.iter().enumerate() {
-            match Tier::of_op(s.op) {
-                Tier::CallStructure => {
-                    t1.push(i as u32);
-                    t2.push(i as u32);
-                }
-                Tier::Control => t2.push(i as u32),
-                Tier::Concrete => {}
-            }
-        }
+        let syms: Vec<Sym> = view.events.iter().map(|e| e.sym).collect();
+        #[cfg(test)]
+        let positions = |tier: Tier| -> Vec<u32> {
+            (0..syms.len() as u32)
+                .filter(|&i| tier.keeps(syms[i as usize].op))
+                .collect()
+        };
         IndexedSegment {
             packed: PackedSyms::from_syms(&syms),
+            calls: TierStream::new(&syms, Tier::CallStructure),
+            control: TierStream::new(&syms, Tier::Control),
+            #[cfg(test)]
+            t1: positions(Tier::CallStructure),
+            #[cfg(test)]
+            t2: positions(Tier::Control),
             syms,
-            t1,
-            t2,
         }
     }
 
-    /// Number of tier-l symbols at or before position `end` (exclusive).
+    /// The packed stream of tier `tier` and the number of its symbols
+    /// before concrete position `end` — the stream's suffix cursor.
+    fn tier_stream(&self, tier: Tier, end: usize) -> (&PackedSyms, usize) {
+        match tier {
+            Tier::CallStructure => (&self.calls.packed, self.calls.rank[end] as usize),
+            Tier::Control => (&self.control.packed, self.control.rank[end] as usize),
+            Tier::Concrete => (&self.packed, end),
+        }
+    }
+
+    /// Backward common-suffix length at tier `tier` between `self[..a]`
+    /// and `other[..b]`, capped at `cap` comparisons.
+    ///
+    /// Every tier runs the SWAR kernel, eight symbols per step, on its
+    /// own packed stream: the packed `compat` (equal op byte,
+    /// non-contradicting 2-bit dir codes) is exactly `sym_compat`. The
+    /// kernel is pinned to the scalar backward scan by the corpus
+    /// crate's `swar_equivalence` suite, and the tier streams to the
+    /// position-list scan ([`IndexedSegment::tier_suffix_reference`]) by
+    /// this module's tests.
+    fn tier_suffix(
+        &self,
+        a: usize,
+        other: &IndexedSegment,
+        b: usize,
+        tier: Tier,
+        cap: usize,
+    ) -> usize {
+        let (x, ca) = self.tier_stream(tier, a);
+        let (y, cb) = other.tier_stream(tier, b);
+        suffix_swar(&x.ops, &x.dirs, ca, &y.ops, &y.dirs, cb, cap)
+    }
+
+    /// Number of tier-`tier` symbols before position `end`, from the
+    /// oracle position lists.
+    #[cfg(test)]
     fn tier_count_before(&self, tier: Tier, end: usize) -> usize {
         let idx = match tier {
             Tier::CallStructure => &self.t1,
@@ -334,9 +425,11 @@ impl IndexedSegment {
         idx.partition_point(|&p| (p as usize) < end)
     }
 
-    /// Backward common-suffix length at tier `tier` between `self[..a]`
-    /// and `other[..b]`, capped at `cap` comparisons.
-    fn tier_suffix(
+    /// The scalar scoring oracle for [`IndexedSegment::tier_suffix`]:
+    /// two position-list cursors and a one-symbol-at-a-time backward
+    /// scan through the concrete symbols.
+    #[cfg(test)]
+    fn tier_suffix_reference(
         &self,
         a: usize,
         other: &IndexedSegment,
@@ -344,41 +437,26 @@ impl IndexedSegment {
         tier: Tier,
         cap: usize,
     ) -> usize {
-        match tier {
-            // Concrete tier: the SWAR kernel, eight symbols per step.
-            // Pinned byte-identical to the scalar backward scan by the
-            // corpus crate's `swar_equivalence` proptest suite — the
-            // packed `compat` (equal op byte, non-contradicting 2-bit
-            // dir codes) is exactly `sym_compat`.
-            Tier::Concrete => suffix_swar(
-                &self.packed.ops,
-                &self.packed.dirs,
-                a,
-                &other.packed.ops,
-                &other.packed.dirs,
-                b,
-                cap,
-            ),
-            _ => {
-                let (ia, ib) = match tier {
-                    Tier::CallStructure => (&self.t1, &other.t1),
-                    Tier::Control => (&self.t2, &other.t2),
-                    Tier::Concrete => unreachable!(),
-                };
-                let ca = self.tier_count_before(tier, a);
-                let cb = other.tier_count_before(tier, b);
-                let mut n = 0;
-                while n < cap && n < ca && n < cb {
-                    let pa = ia[ca - 1 - n] as usize;
-                    let pb = ib[cb - 1 - n] as usize;
-                    if !sym_compat(self.syms[pa], other.syms[pb]) {
-                        break;
-                    }
-                    n += 1;
-                }
-                n
+        // Concrete position of the `k`-th tier symbol.
+        let position = |seg: &IndexedSegment, k: usize| -> usize {
+            match tier {
+                Tier::CallStructure => seg.t1[k] as usize,
+                Tier::Control => seg.t2[k] as usize,
+                Tier::Concrete => k,
             }
+        };
+        let ca = self.tier_count_before(tier, a);
+        let cb = other.tier_count_before(tier, b);
+        let mut n = 0;
+        while n < cap && n < ca && n < cb {
+            let pa = position(self, ca - 1 - n);
+            let pb = position(other, cb - 1 - n);
+            if !sym_compat(self.syms[pa], other.syms[pb]) {
+                break;
+            }
+            n += 1;
         }
+        n
     }
 }
 
@@ -414,6 +492,108 @@ struct AnchorKey(u64);
 impl AnchorKey {
     fn of(anchor: &[Sym]) -> AnchorKey {
         AnchorKey(jportal_corpus::anchor_key(anchor))
+    }
+}
+
+/// One candidate of the anchor index: where its anchor ends, plus the
+/// tier-1 context word of the prefix it would be scored on.
+#[derive(Debug, Clone, Copy, Default)]
+struct AnchorEntry {
+    seg: u32,
+    end: u32,
+    /// [`TierStream::context`] of tier 1 at `end + 1`: the last
+    /// [`CONTEXT_OPS`] call-structure ops of the candidate's prefix.
+    ctx: u64,
+}
+
+impl AnchorEntry {
+    fn candidate(self) -> Candidate {
+        (self.seg as usize, self.end as usize)
+    }
+}
+
+/// The anchor index in compressed-sparse-row form: every anchor window
+/// of the thread in one flat array, grouped by anchor key and in
+/// `(segment, end)` order within a group.
+#[derive(Debug)]
+struct AnchorIndex {
+    /// Anchor key → group number.
+    groups: FxHashMap<AnchorKey, u32>,
+    /// Group `g` is `entries[offsets[g]..offsets[g + 1]]`.
+    offsets: Vec<u32>,
+    entries: Vec<AnchorEntry>,
+}
+
+impl AnchorIndex {
+    /// Indexes every window of `x` symbols that a suffix follows, in two
+    /// passes: count each key's windows, then scatter them into place.
+    fn build(indexed: &[IndexedSegment], x: usize) -> AnchorIndex {
+        // Anchor ends at `end` (inclusive); a suffix must follow. An
+        // empty anchor indexes nothing.
+        let ends = |seg: &IndexedSegment| {
+            if x == 0 || seg.syms.len() < x + 1 {
+                0..0
+            } else {
+                (x - 1)..seg.syms.len() - 1
+            }
+        };
+        let windows = || {
+            indexed
+                .iter()
+                .enumerate()
+                .flat_map(move |(si, seg)| ends(seg).map(move |end| (si, seg, end)))
+        };
+        let total = indexed.iter().map(|seg| ends(seg).len()).sum();
+        let mut groups: FxHashMap<AnchorKey, u32> = FxHashMap::default();
+        // Groups are numbered in first-seen order; `group_of` keeps each
+        // window's group for the scatter.
+        let mut counts: Vec<u32> = Vec::new();
+        let mut group_of: Vec<u32> = Vec::with_capacity(total);
+        for (_, seg, end) in windows() {
+            let fresh = counts.len() as u32;
+            let g = *groups
+                .entry(AnchorKey::of(&seg.syms[end + 1 - x..=end]))
+                .or_insert(fresh);
+            if g == fresh {
+                counts.push(0);
+            }
+            counts[g as usize] += 1;
+            group_of.push(g);
+        }
+        let mut offsets = Vec::with_capacity(counts.len() + 1);
+        let mut sum = 0u32;
+        for c in counts.iter_mut() {
+            offsets.push(sum);
+            // From here on, `counts[g]` is group `g`'s write cursor.
+            (*c, sum) = (sum, sum + *c);
+        }
+        offsets.push(sum);
+        let mut entries = vec![AnchorEntry::default(); total];
+        for ((si, seg, end), g) in windows().zip(group_of) {
+            let cursor = &mut counts[g as usize];
+            entries[*cursor as usize] = AnchorEntry {
+                seg: si as u32,
+                end: end as u32,
+                ctx: seg.calls.context(end + 1),
+            };
+            *cursor += 1;
+        }
+        AnchorIndex {
+            groups,
+            offsets,
+            entries,
+        }
+    }
+
+    /// The windows spelling `key`, in `(segment, end)` order.
+    fn group(&self, key: AnchorKey) -> &[AnchorEntry] {
+        match self.groups.get(&key) {
+            Some(&g) => {
+                let g = g as usize;
+                &self.entries[self.offsets[g] as usize..self.offsets[g + 1] as usize]
+            }
+            None => &[],
+        }
     }
 }
 
@@ -457,6 +637,10 @@ struct CandidateJournal<'r, 'j> {
     hole: u32,
     emitted: u32,
     elided: u32,
+    /// Candidates decided without a visit (see
+    /// [`CandidateJournal::skip`]), so tests can see the skip fire.
+    #[cfg(test)]
+    skipped: u32,
 }
 
 impl<'r, 'j> CandidateJournal<'r, 'j> {
@@ -466,6 +650,27 @@ impl<'r, 'j> CandidateJournal<'r, 'j> {
             hole,
             emitted: 0,
             elided: 0,
+            #[cfg(test)]
+            skipped: 0,
+        }
+    }
+
+    /// `true` once no further candidate is journaled individually: the
+    /// recorder is off, or the per-hole cap is reached.
+    fn saturated(&self) -> bool {
+        self.rec.is_none() || self.emitted >= JOURNAL_CANDIDATES_MAX
+    }
+
+    /// Accounts for a candidate that was decided without a visit, as
+    /// [`CandidateJournal::consider`] would once saturated.
+    fn skip(&mut self) {
+        debug_assert!(self.saturated());
+        #[cfg(test)]
+        {
+            self.skipped += 1;
+        }
+        if self.rec.is_some() {
+            self.elided += 1;
         }
     }
 
@@ -513,7 +718,7 @@ pub struct Recovery<'a> {
     corpus: Option<&'a Corpus>,
     indexed: Vec<IndexedSegment>,
     /// Anchor index: packed op-kind key → candidate positions.
-    anchor_index: FxHashMap<AnchorKey, Vec<Candidate>>,
+    anchor_index: AnchorIndex,
 }
 
 impl<'a> Recovery<'a> {
@@ -525,18 +730,7 @@ impl<'a> Recovery<'a> {
         cfg: RecoveryConfig,
     ) -> Recovery<'a> {
         let indexed: Vec<IndexedSegment> = segments.iter().map(IndexedSegment::new).collect();
-        let x = cfg.anchor_len;
-        let mut anchor_index: FxHashMap<AnchorKey, Vec<Candidate>> = FxHashMap::default();
-        for (si, seg) in indexed.iter().enumerate() {
-            if seg.syms.len() < x + 1 {
-                continue;
-            }
-            // Anchor ends at `end` (inclusive); a suffix must follow.
-            for end in (x - 1)..seg.syms.len() - 1 {
-                let key = AnchorKey::of(&seg.syms[end + 1 - x..=end]);
-                anchor_index.entry(key).or_default().push((si, end));
-            }
-        }
+        let anchor_index = AnchorIndex::build(&indexed, cfg.anchor_len);
         Recovery {
             program,
             icfg,
@@ -599,20 +793,18 @@ impl<'a> Recovery<'a> {
         &'s self,
         is_seg: usize,
         anchor: &'s [Sym],
-    ) -> impl Iterator<Item = Candidate> + 's {
+    ) -> impl Iterator<Item = AnchorEntry> + 's {
         let is_end = self.indexed[is_seg].syms.len() - 1;
-        let positions = self
-            .anchor_index
-            .get(&AnchorKey::of(anchor))
-            .map_or(&[][..], Vec::as_slice);
-        positions
+        self.anchor_index
+            .group(AnchorKey::of(anchor))
             .iter()
             .copied()
             // The IS's own tail is not a usable CS for itself.
-            .filter(move |&(si, end)| !(si == is_seg && end == is_end))
+            .filter(move |e| !(e.seg as usize == is_seg && e.end as usize == is_end))
             // Hashed long-anchor keys can collide: verify the
             // candidate's op window (≤ 8 op keys are exact).
-            .filter(move |&(si, end)| {
+            .filter(move |e| {
+                let (si, end) = e.candidate();
                 anchor.len() <= 8
                     || anchor
                         .iter()
@@ -643,7 +835,8 @@ impl<'a> Recovery<'a> {
         }
         let anchor = &is.syms[is.syms.len() - self.cfg.anchor_len..];
         let mut best: Vec<(Candidate, usize)> = Vec::new();
-        for (rank, cand) in self.candidates(is_seg, anchor).enumerate() {
+        for (rank, entry) in self.candidates(is_seg, anchor).enumerate() {
+            let cand = entry.candidate();
             let (si, end) = cand;
             let score = is.tier_suffix(
                 is.syms.len(),
@@ -672,7 +865,80 @@ impl<'a> Recovery<'a> {
         self.search_abstraction_journaled(is_seg, stats, &mut CandidateJournal::new(None, 0))
     }
 
+    /// Algorithm 4 over the anchor's candidates, in index order.
+    ///
+    /// Most candidates die at tier 1, and most of those are **counted
+    /// without a visit**: once the list is full and `m1 ≥ 8`, a
+    /// candidate whose tier-1 context word differs from the hole's has a
+    /// tier-1 suffix below 8 (tier-1 compatibility needs equal ops), so
+    /// below `m1`, and the tier-1 gate would reject it. Its statistics
+    /// are the gate's, and a saturated journal would only have counted
+    /// it as elided, so reports, journals and statistics are those of
+    /// the visiting loop.
     fn search_abstraction_journaled(
+        &self,
+        is_seg: usize,
+        stats: &mut RecoveryStats,
+        journal: &mut CandidateJournal<'_, '_>,
+    ) -> Vec<(Candidate, usize)> {
+        let is = &self.indexed[is_seg];
+        let a = is.syms.len();
+        if a < self.cfg.anchor_len {
+            return Vec::new();
+        }
+        let anchor = &is.syms[a - self.cfg.anchor_len..];
+        let hole_ctx = is.calls.context(a);
+        let mut best: Vec<(Candidate, usize)> = Vec::new();
+        // Running maxima ⟨m1, m2, m3⟩ of Algorithm 4: the tier suffixes
+        // of the best candidate so far, which pruning compares against
+        // once the list is full.
+        let (mut m1, mut m2, mut m3) = (0usize, 0usize, 0usize);
+        for (rank, entry) in self.candidates(is_seg, anchor).enumerate() {
+            stats.candidates += 1;
+            let full = best.len() >= self.cfg.top_n;
+            if full && m1 >= CONTEXT_OPS && entry.ctx != hole_ctx && journal.saturated() {
+                stats.pruned_tier1 += 1;
+                journal.skip();
+                continue;
+            }
+            let cand = entry.candidate();
+            let cs = &self.indexed[cand.0];
+            let b = cand.1 + 1;
+            // Tier 1: cheap test first.
+            let ml1 = is.tier_suffix(a, cs, b, Tier::CallStructure, m1 + 64);
+            if full && ml1 < m1 {
+                stats.pruned_tier1 += 1;
+                journal.consider(rank as u32, cand, CandidateOutcome::PrunedTier1, ml1);
+                continue;
+            }
+            let ml2 = is.tier_suffix(a, cs, b, Tier::Control, m2 + 64);
+            if full && ml2 < m2 {
+                stats.pruned_tier2 += 1;
+                journal.consider(rank as u32, cand, CandidateOutcome::PrunedTier2, ml2);
+                continue;
+            }
+            let ml3 = is.tier_suffix(a, cs, b, Tier::Concrete, usize::MAX);
+            if ml3 >= m3 {
+                // Once the list is full a new maximum has passed the
+                // tier-1 gate, so `m1` never falls: the skip's
+                // `full && m1 ≥ 8`, once met, holds for the rest of the
+                // hole.
+                debug_assert!(!full || ml1 >= m1, "m1 fell on a full list");
+                m3 = ml3;
+                m1 = ml1;
+                m2 = ml2;
+            }
+            journal.consider(rank as u32, cand, CandidateOutcome::Scored, ml3);
+            push_ranked(&mut best, (cand, ml3), self.cfg.top_n);
+        }
+        best
+    }
+
+    /// The visiting Algorithm 4 that
+    /// [`Recovery::search_abstraction_journaled`] must match: every
+    /// candidate is scored by the scalar oracle, none is skipped.
+    #[cfg(test)]
+    fn search_abstraction_reference(
         &self,
         is_seg: usize,
         stats: &mut RecoveryStats,
@@ -684,28 +950,27 @@ impl<'a> Recovery<'a> {
         }
         let anchor = &is.syms[is.syms.len() - self.cfg.anchor_len..];
         let mut best: Vec<(Candidate, usize)> = Vec::new();
-        // Running maxima ⟨m1, m2, m3⟩ of Algorithm 4; pruning compares
-        // against the weakest kept candidate when the list is full.
         let (mut m1, mut m2, mut m3) = (0usize, 0usize, 0usize);
-        for (rank, cand) in self.candidates(is_seg, anchor).enumerate() {
+        for (rank, entry) in self.candidates(is_seg, anchor).enumerate() {
+            let cand = entry.candidate();
             let (si, end) = cand;
             let cs = &self.indexed[si];
             stats.candidates += 1;
             let full = self.cfg.top_n > best.len();
-            // Tier 1: cheap test first.
-            let ml1 = is.tier_suffix(is.syms.len(), cs, end + 1, Tier::CallStructure, m1 + 64);
+            let score = |tier, cap| is.tier_suffix_reference(is.syms.len(), cs, end + 1, tier, cap);
+            let ml1 = score(Tier::CallStructure, m1 + 64);
             if !full && ml1 < m1 {
                 stats.pruned_tier1 += 1;
                 journal.consider(rank as u32, cand, CandidateOutcome::PrunedTier1, ml1);
                 continue;
             }
-            let ml2 = is.tier_suffix(is.syms.len(), cs, end + 1, Tier::Control, m2 + 64);
+            let ml2 = score(Tier::Control, m2 + 64);
             if !full && ml2 < m2 {
                 stats.pruned_tier2 += 1;
                 journal.consider(rank as u32, cand, CandidateOutcome::PrunedTier2, ml2);
                 continue;
             }
-            let ml3 = is.tier_suffix(is.syms.len(), cs, end + 1, Tier::Concrete, usize::MAX);
+            let ml3 = score(Tier::Concrete, usize::MAX);
             if ml3 >= m3 {
                 m3 = ml3;
                 m1 = ml1;
@@ -1258,6 +1523,7 @@ impl<'a> Recovery<'a> {
 mod tests {
     use super::*;
     use jportal_cfg::BranchDir;
+    use proptest::prelude::*;
 
     fn sym(op: OpKind) -> Sym {
         Sym::plain(op)
@@ -1312,6 +1578,49 @@ mod tests {
         assert_eq!(seg.tier_count_before(Tier::CallStructure, 5), 2);
         assert_eq!(seg.tier_count_before(Tier::Control, 3), 2);
         assert_eq!(seg.tier_count_before(Tier::Concrete, 3), 3);
+        // The rank arrays are the oracle lists' counts at every position.
+        for tier in [Tier::CallStructure, Tier::Control, Tier::Concrete] {
+            for end in 0..=seg.syms.len() {
+                assert_eq!(
+                    seg.tier_stream(tier, end).1,
+                    seg.tier_count_before(tier, end),
+                    "{tier:?} before {end}"
+                );
+            }
+        }
+        assert_eq!(seg.calls.packed.len, 2);
+        assert_eq!(seg.control.packed.len, 3);
+        assert_eq!(
+            seg.calls.packed.get(1).0,
+            OpKind::Ireturn as u8,
+            "tier streams hold the tier's symbols in order"
+        );
+    }
+
+    #[test]
+    fn context_word_is_the_last_eight_call_ops() {
+        use OpKind as O;
+        let mut ops = vec![O::Iload];
+        for k in 0..9 {
+            ops.push(if k % 2 == 0 {
+                O::InvokeStatic
+            } else {
+                O::Return
+            });
+            ops.push(O::Iadd);
+        }
+        let seg = IndexedSegment::new(&seg_from_ops(&ops));
+        // Seven call ops before position 14, eight before 16.
+        assert_eq!(seg.calls.context(14), NO_CONTEXT);
+        let word = seg.calls.context(16);
+        assert_ne!(word, NO_CONTEXT);
+        let lanes: Vec<u8> = word.to_le_bytes().to_vec();
+        let want: Vec<u8> = (0..8)
+            .map(|k| if k % 2 == 0 { O::InvokeStatic } else { O::Return } as u8)
+            .collect();
+        assert_eq!(lanes, want);
+        // Shifted by one call op, the word differs.
+        assert_ne!(seg.calls.context(18), word);
     }
 
     #[test]
@@ -1427,6 +1736,20 @@ mod tests {
     }
 
     #[test]
+    fn empty_anchor_finds_no_candidates() {
+        let (p, icfg, segs) = figure6();
+        let cfg = RecoveryConfig {
+            anchor_len: 0,
+            ..RecoveryConfig::default()
+        };
+        let rec = Recovery::new(&p, &icfg, &segs, cfg);
+        let mut stats = RecoveryStats::default();
+        assert!(rec.search_abstraction(2, &mut stats).is_empty());
+        assert!(rec.search_naive(2, &mut stats).is_empty());
+        assert_eq!(stats.candidates, 0);
+    }
+
+    #[test]
     fn timestamps_interpolate_across_the_hole() {
         let (p, icfg, segs) = figure6();
         let cfg = RecoveryConfig {
@@ -1530,5 +1853,174 @@ mod tests {
         ));
         assert!(!sym_compat(sym(OpKind::Iadd), sym(OpKind::Isub)));
         let _ = BranchDir::Unknown;
+    }
+
+    /// A segment over `syms`, timestamps ten cycles apart.
+    fn seg_from_syms(syms: &[Sym]) -> SegmentView {
+        let mut seg = seg_from_ops(&syms.iter().map(|s| s.op).collect::<Vec<_>>());
+        for (e, &s) in seg.events.iter_mut().zip(syms) {
+            e.sym = s;
+        }
+        seg
+    }
+
+    /// Symbols over a small alphabet dense in calls and returns (so
+    /// tier-1 suffixes run past eight), with branch directions of all
+    /// three kinds on the conditionals.
+    fn arb_syms(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<Sym>> {
+        let ops = prop::sample::select(vec![
+            OpKind::InvokeStatic,
+            OpKind::InvokeStatic,
+            OpKind::InvokeVirtual,
+            OpKind::Return,
+            OpKind::Return,
+            OpKind::Ireturn,
+            OpKind::Iload,
+            OpKind::Ifeq,
+            OpKind::Goto,
+        ]);
+        prop::collection::vec(
+            (ops, 0u8..3).prop_map(|(op, d)| Sym {
+                op,
+                dir: if op == OpKind::Ifeq {
+                    jportal_corpus::pack::dir_from_code(d)
+                } else {
+                    BranchDir::Unknown
+                },
+            }),
+            len,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Tiers 1 and 2 scored by the SWAR kernel on their packed
+        /// streams equal the position-list scan, at every tier, cursor
+        /// and cap (the concrete tier is covered too, against the same
+        /// scalar loop).
+        #[test]
+        fn tier_suffix_swar_equals_position_lists(
+            a in arb_syms(0..160),
+            b in arb_syms(0..160),
+            a_frac in 0usize..1000,
+            b_frac in 0usize..1000,
+            cap in prop::sample::select(vec![0usize, 1, 7, 8, 9, 17, 64, 72, usize::MAX]),
+        ) {
+            let x = IndexedSegment::new(&seg_from_syms(&a));
+            let y = IndexedSegment::new(&seg_from_syms(&b));
+            let ae = a_frac * a.len() / 999;
+            let be = b_frac * b.len() / 999;
+            for tier in [Tier::CallStructure, Tier::Control, Tier::Concrete] {
+                prop_assert_eq!(
+                    x.tier_suffix(ae, &y, be, tier, cap),
+                    x.tier_suffix_reference(ae, &y, be, tier, cap),
+                    "{:?} ae={} be={} cap={}", tier, ae, be, cap
+                );
+            }
+            // Identical streams share everything up to the cap.
+            prop_assert_eq!(
+                x.tier_suffix(ae, &x, ae, Tier::CallStructure, cap),
+                x.tier_suffix_reference(ae, &x, ae, Tier::CallStructure, cap)
+            );
+        }
+
+        /// Algorithm 4 with the counted-not-visited skip equals the
+        /// visiting reference on random segment sets: the same ranked
+        /// list and every statistic, with the journal off, and with it on
+        /// the same journal too.
+        #[test]
+        fn skipping_search_equals_the_visiting_reference(
+            segs in prop::collection::vec(arb_syms(1..120), 2..7),
+            top_n in 1usize..6,
+            anchor_len in 1usize..4,
+        ) {
+            let (p, icfg) = tiny_program();
+            let views: Vec<SegmentView> = segs.iter().map(|s| seg_from_syms(s)).collect();
+            let cfg = RecoveryConfig { anchor_len, top_n, ..RecoveryConfig::default() };
+            let rec = Recovery::new(&p, &icfg, &views, cfg);
+            for is_seg in 0..views.len() {
+                let (mut fast, mut slow) = (RecoveryStats::default(), RecoveryStats::default());
+                let got = rec.search_abstraction(is_seg, &mut fast);
+                let want = rec.search_abstraction_reference(
+                    is_seg,
+                    &mut slow,
+                    &mut CandidateJournal::new(None, 0),
+                );
+                prop_assert_eq!(&got, &want, "journal off, IS {}", is_seg);
+                prop_assert_eq!(fast, slow, "journal off, IS {}", is_seg);
+
+                let (jf, js) = (Journal::new(), Journal::new());
+                let (mut rf, mut rs) = (Journal::recorder(Some(&jf), 0), Journal::recorder(Some(&js), 0));
+                let (mut fast, mut slow) = (RecoveryStats::default(), RecoveryStats::default());
+                let mut cj = CandidateJournal::new(Some(&mut rf), 1);
+                let got = rec.search_abstraction_journaled(is_seg, &mut fast, &mut cj);
+                cj.finish();
+                let mut cj = CandidateJournal::new(Some(&mut rs), 1);
+                let want = rec.search_abstraction_reference(is_seg, &mut slow, &mut cj);
+                cj.finish();
+                prop_assert_eq!(&got, &want, "journal on, IS {}", is_seg);
+                prop_assert_eq!(fast, slow, "journal on, IS {}", is_seg);
+                prop_assert_eq!(jf.snapshot().to_jsonl(), js.snapshot().to_jsonl());
+            }
+        }
+    }
+
+    /// A hole whose first candidates fill the list with a tier-1 suffix
+    /// of eight, followed by decoys whose call context differs: every
+    /// decoy is counted without a visit, and nothing observable changes.
+    #[test]
+    fn tier1_skip_fires_on_foreign_call_contexts() {
+        use OpKind as O;
+        let (p, icfg) = tiny_program();
+        let anchor = [O::Iload, O::Iadd, O::Pop];
+        let with_calls = |call: OpKind, ret: OpKind| -> Vec<OpKind> {
+            let mut ops = Vec::new();
+            for _ in 0..4 {
+                ops.extend([call, O::Iload, ret, O::Iadd]);
+            }
+            ops.extend(anchor);
+            ops
+        };
+        let is = with_calls(O::InvokeStatic, O::Ireturn);
+        let mut segs = Vec::new();
+        for _ in 0..5 {
+            let mut good = is.clone();
+            good.push(O::Dup);
+            segs.push(seg_from_ops(&good));
+        }
+        for _ in 0..20 {
+            let mut decoy = with_calls(O::InvokeVirtual, O::Areturn);
+            decoy.push(O::Swap);
+            segs.push(seg_from_ops(&decoy));
+        }
+        segs.push(seg_from_ops(&is));
+        let is_seg = segs.len() - 1;
+        let rec = Recovery::new(&p, &icfg, &segs, RecoveryConfig::default());
+
+        let mut fast = RecoveryStats::default();
+        let mut journal = CandidateJournal::new(None, 0);
+        let got = rec.search_abstraction_journaled(is_seg, &mut fast, &mut journal);
+        assert_eq!(journal.skipped, 20, "every decoy is counted unvisited");
+        let mut slow = RecoveryStats::default();
+        let want = rec.search_abstraction_reference(
+            is_seg,
+            &mut slow,
+            &mut CandidateJournal::new(None, 0),
+        );
+        assert_eq!(got, want);
+        assert_eq!(fast, slow);
+        assert_eq!((fast.candidates, fast.pruned_tier1), (25, 20));
+
+        // A recording journal visits its first 32 candidates: all 25 here.
+        let j = Journal::new();
+        let mut r = Journal::recorder(Some(&j), 0);
+        let mut journal = CandidateJournal::new(Some(&mut r), 1);
+        let mut on = RecoveryStats::default();
+        assert_eq!(
+            rec.search_abstraction_journaled(is_seg, &mut on, &mut journal),
+            want
+        );
+        assert_eq!((journal.skipped, on), (0, slow));
     }
 }

@@ -71,6 +71,20 @@ impl PackedSyms {
         p
     }
 
+    /// Appends one symbol.
+    pub fn push(&mut self, s: Sym) {
+        let i = self.len;
+        if i.is_multiple_of(8) {
+            self.ops.push(0);
+        }
+        if i.is_multiple_of(32) {
+            self.dirs.push(0);
+        }
+        self.ops[i / 8] |= (s.op as u64) << ((i % 8) * 8);
+        self.dirs[i / 32] |= (dir_code(s.dir) as u64) << ((i % 32) * 2);
+        self.len += 1;
+    }
+
     /// The symbol at position `i`.
     #[inline]
     pub fn get(&self, i: usize) -> (u8, u8) {
@@ -100,9 +114,11 @@ fn compat(a: (u8, u8), b: (u8, u8)) -> bool {
 
 /// Loads the eight op bytes at positions `p - 8 .. p` as one `u64`
 /// (byte lane `j` = position `p - 8 + j`). Requires `p >= 8`; positions
-/// up to `p - 1` must exist, which the suffix loop guarantees.
+/// up to `p - 1` must exist, which the suffix loop guarantees. Recovery
+/// also keys candidates by this word (the last eight call-structure ops
+/// before a position).
 #[inline]
-fn load8_ops(ops: &[u64], p: usize) -> u64 {
+pub fn load8_ops(ops: &[u64], p: usize) -> u64 {
     let lo = p - 8;
     let wi = lo / 8;
     let shift = (lo % 8) * 8;
@@ -253,6 +269,21 @@ mod tests {
             assert_eq!(op, sym.op as u8);
             assert_eq!(dir_from_code(d), sym.dir);
         }
+    }
+
+    #[test]
+    fn push_packs_like_from_syms() {
+        let s: Vec<Sym> = (0..70)
+            .map(|i| Sym {
+                op: OpKind::ALL[i * 5 % OpKind::ALL.len()],
+                dir: dir_from_code((i % 3) as u8),
+            })
+            .collect();
+        let mut pushed = PackedSyms::default();
+        for &sym in &s {
+            pushed.push(sym);
+        }
+        assert_eq!(pushed, PackedSyms::from_syms(&s));
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! Hole-level recovery fan-out: a thread's holes fill in parallel, yet
 //! the report, the decision journal and the span tree are identical at
-//! every worker count.
+//! every worker count. The report is also identical with observability
+//! off, where recovery skips more of tier 1's rejects unvisited because
+//! no journal has to see them.
 //!
 //! Two lossy inputs under the Figure 7 preset (ring 2272 B, drain 158
 //! B/kcycle, one JIT debug record in ten lost): single-threaded fop, where
@@ -43,11 +45,12 @@ struct Outcome {
     spans: Vec<String>,
 }
 
-fn analyze(w: &Workload, r: &RunResult, parallelism: usize) -> Outcome {
+fn analyze(w: &Workload, r: &RunResult, parallelism: usize, observability: bool) -> Outcome {
     let jp = JPortal::with_config(
         &w.program,
         JPortalConfig {
             parallelism: Some(parallelism),
+            observability,
             ..JPortalConfig::default()
         },
     );
@@ -77,12 +80,13 @@ fn span_structure(t: &TelemetryReport) -> Vec<String> {
     v
 }
 
-/// Analyzes `name@scale` at one, two and four workers. Every thread must
-/// have at least `min_holes` holes, so each thread's fan-out really runs.
+/// Analyzes `name@scale` at one, two and four workers, and with
+/// observability off at one and two. Every thread must have at least
+/// `min_holes` holes, so each thread's fan-out really runs.
 fn check(name: &str, scale: u32, min_holes: usize) {
     let w = workload_by_name(name, scale);
     let r = lossy_run(&w);
-    let one = analyze(&w, &r, 1);
+    let one = analyze(&w, &r, 1, true);
     for t in &one.report.threads {
         assert!(
             t.holes.len() >= min_holes,
@@ -105,11 +109,27 @@ fn check(name: &str, scale: u32, min_holes: usize) {
     );
 
     for workers in [2, 4] {
-        let many = analyze(&w, &r, workers);
+        let many = analyze(&w, &r, workers, true);
         assert_eq!(one.report, many.report, "{name}: report at {workers}");
         assert_eq!(one.debug, many.debug, "{name}: report text at {workers}");
         assert_eq!(one.journal, many.journal, "{name}: journal at {workers}");
         assert_eq!(one.spans, many.spans, "{name}: span tree at {workers}");
+    }
+    for workers in [1, 2] {
+        let quiet = analyze(&w, &r, workers, false);
+        assert_eq!(
+            one.report, quiet.report,
+            "{name}: report with observability off at {workers}"
+        );
+        assert_eq!(
+            one.debug, quiet.debug,
+            "{name}: report text with observability off at {workers}"
+        );
+        assert_eq!(
+            quiet.journal.lines().count(),
+            1,
+            "{name}: only the summary line with observability off"
+        );
     }
 }
 
