@@ -284,16 +284,19 @@ struct Frame {
 /// [`lint_steps_summarized`] wrapped in telemetry: a `lint` span
 /// covering the replay plus step/diagnostic counters on the handle's
 /// registry. Identical diagnostics to the plain call; inert when `obs`
-/// is disabled.
+/// is disabled. The span's logical parent is pinned to `parent`, so the
+/// span tree does not depend on which thread ran the linter.
 pub fn lint_steps_observed(
     program: &Program,
     icfg: &Icfg,
     steps: &[LintStep],
     summaries: Option<&SummaryTable>,
     obs: &jportal_obs::Obs,
+    parent: &'static str,
 ) -> Vec<LintDiagnostic> {
     let _span = obs
         .span("lint", "lint_steps")
+        .parent(parent)
         .arg("steps", steps.len())
         .record_sketch(&obs.registry().sketch("analysis.lint.wall_us"));
     let diagnostics = lint_steps_summarized(program, icfg, steps, summaries);
@@ -316,9 +319,10 @@ pub fn lint_steps_journaled(
     steps: &[LintStep],
     summaries: Option<&SummaryTable>,
     obs: &jportal_obs::Obs,
+    parent: &'static str,
     recorder: &mut jportal_obs::JournalRecorder<'_>,
 ) -> Vec<LintDiagnostic> {
-    let diagnostics = lint_steps_observed(program, icfg, steps, summaries, obs);
+    let diagnostics = lint_steps_observed(program, icfg, steps, summaries, obs, parent);
     if recorder.is_enabled() {
         for d in &diagnostics {
             recorder.emit(jportal_obs::JournalEvent::LintBreak {
@@ -469,13 +473,15 @@ pub fn lint_steps_summarized(
 
         if let Some((p, p_dir, p_op)) = prev {
             let from = icfg.location(p);
-            let to_edges: Vec<EdgeKind> = icfg
-                .edges(p)
-                .iter()
-                .filter(|e| e.to == node)
-                .map(|e| e.kind)
-                .collect();
-            if to_edges.is_empty() {
+            // The kinds of the edges `p → node`, in edge order; collected
+            // only for a diagnostic, so the common step allocates nothing.
+            let to_edges = || {
+                icfg.edges(p)
+                    .iter()
+                    .filter(move |e| e.to == node)
+                    .map(|e| e.kind)
+            };
+            if to_edges().next().is_none() {
                 out.push(LintDiagnostic {
                     kind: LintKind::MissingEdge,
                     index: i,
@@ -487,7 +493,7 @@ pub fn lint_steps_summarized(
                     ),
                 });
             } else {
-                let taken = to_edges.iter().copied().find(|k| k.compatible_with(p_dir));
+                let taken = to_edges().find(|k| k.compatible_with(p_dir));
                 match taken {
                     None => out.push(LintDiagnostic {
                         kind: LintKind::BranchContradiction,
@@ -496,7 +502,10 @@ pub fn lint_steps_summarized(
                         at,
                         detail: format!(
                             "edge(s) {:?} from {:?}:{} exist but none compatible with direction `{}`",
-                            to_edges, from.0, from.1 .0, p_dir
+                            to_edges().collect::<Vec<EdgeKind>>(),
+                            from.0,
+                            from.1 .0,
+                            p_dir
                         ),
                     }),
                     Some(EdgeKind::Call) => {

@@ -291,10 +291,16 @@ impl Instruction {
 
     /// `true` for conditional branches (`if*`, `if_icmp*`, `ifnull`).
     pub fn is_conditional_branch(&self) -> bool {
-        matches!(
-            self,
-            Instruction::If(..) | Instruction::IfICmp(..) | Instruction::IfNull(_)
-        )
+        self.conditional_target().is_some()
+    }
+
+    /// The taken target of a conditional branch; `None` for any other
+    /// instruction.
+    pub fn conditional_target(&self) -> Option<Bci> {
+        match self {
+            Instruction::If(_, t) | Instruction::IfICmp(_, t) | Instruction::IfNull(t) => Some(*t),
+            _ => None,
+        }
     }
 
     /// `true` for instructions that never fall through to `bci + 1`.
@@ -631,6 +637,15 @@ mod tests {
         assert!(Instruction::Goto(Bci(0)).is_control());
         assert!(!Instruction::Goto(Bci(0)).is_conditional_branch());
         assert!(Instruction::If(CmpKind::Eq, Bci(0)).is_conditional_branch());
+        assert_eq!(Instruction::Goto(Bci(3)).conditional_target(), None);
+        assert_eq!(
+            Instruction::IfICmp(CmpKind::Lt, Bci(4)).conditional_target(),
+            Some(Bci(4))
+        );
+        assert_eq!(
+            Instruction::IfNull(Bci(5)).conditional_target(),
+            Some(Bci(5))
+        );
         assert!(Instruction::InvokeStatic(MethodId(0)).is_call());
         assert!(Instruction::Ireturn.is_return());
         assert!(Instruction::Ireturn.is_terminator());

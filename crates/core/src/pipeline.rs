@@ -18,14 +18,15 @@ use jportal_corpus::{Corpus, CorpusBuilder};
 use jportal_ipt::{CollectedTraces, CollectionStats, LossRecord, ThreadId};
 use jportal_jvm::MetadataArchive;
 use jportal_obs::{
-    Determinism, JournalEvent, Obs, ProfileConfig, Profiler, TelemetryConfig, TelemetryPlane,
-    TelemetryReport,
+    Determinism, Gauge, JournalEvent, Obs, ProfileConfig, Profiler, Sketch, TelemetryConfig,
+    TelemetryPlane, TelemetryReport,
 };
 use std::cell::RefCell;
+use std::ops::Range;
 
-use crate::decode::decode_segment;
+use crate::decode::{chunk_bounds, decode_chunk, stitch_chunks, BcSegment};
 use crate::quality::{FillQuality, QualityReport, ThreadQuality};
-use crate::reconstruct::{project_segment_with, ProjectionConfig, ProjectionStats};
+use crate::reconstruct::{Projection, ProjectionConfig, ProjectionStats, Projector};
 use crate::recover::{Fill, FillScratch, Recovery, RecoveryConfig, RecoveryStats, SegmentView};
 pub use crate::recover::{TraceEntry, TraceOrigin};
 use crate::threads::{segregate_with_stats, ThreadPiece};
@@ -265,6 +266,25 @@ pub struct JPortal<'p> {
 /// `(method, bci)` locations, projection seams.
 type HarvestSeg = (Vec<Sym>, Vec<u64>, Vec<u32>);
 
+thread_local! {
+    /// One `MatchScratch` per worker thread for a whole fan-out (workers
+    /// are fresh scoped threads per `par_map` call, so the thread-local
+    /// starts empty and is reused across every piece or chunk the worker
+    /// claims — no per-segment frontier allocations).
+    static PROJ_SCRATCH: RefCell<MatchScratch> = RefCell::new(MatchScratch::new());
+}
+
+/// What every level-1 work item shares: the inputs beyond the piece and
+/// the telemetry handles of the decode and projection stages.
+struct Level1<'a, 'p> {
+    archive: &'a MetadataArchive,
+    anfa: &'a AbstractNfa<'p>,
+    decode_sketch: Sketch,
+    project_sketch: Sketch,
+    arena_hw: Gauge,
+    par_metrics: jportal_par::ParMetrics,
+}
+
 /// Stops the sampler thread (and decrements the global profiling
 /// enable-count, so span opens stop pushing frames) when the analyzer
 /// goes away. Dropping mid-analysis is fine — workers only ever see the
@@ -405,11 +425,12 @@ impl<'p> JPortal<'p> {
     /// The work fans out over [`JPortalConfig::parallelism`] workers at
     /// two levels: decode+projection runs over every `(thread, piece)`
     /// pair of the whole trace at once (one global work list, so a core
-    /// never idles because "its" thread finished early), then per-thread
-    /// assembly — compaction, recovery, entry emission — fans out across
-    /// threads. Within a thread, recovery fans out over the holes: each
-    /// fill reads only the thread's decoded segments, so holes are
-    /// independent (§5 fills every hole from the run's complete
+    /// never idles because "its" thread finished early), and a long piece
+    /// is cut into chunks that decode and project in parallel; then
+    /// per-thread assembly — compaction, recovery, entry emission, lint —
+    /// fans out across threads. Within a thread, recovery fans out over
+    /// the holes: each fill reads only the thread's decoded segments, so
+    /// holes are independent (§5 fills every hole from the run's complete
     /// segments). Results are reassembled in deterministic order at
     /// every join, so the report is identical for every worker count.
     pub fn analyze(&self, traces: &CollectedTraces, archive: &MetadataArchive) -> JPortalReport {
@@ -484,88 +505,48 @@ impl<'p> JPortal<'p> {
             .enumerate()
             .flat_map(|(ti, (_, pieces))| (0..pieces.len()).map(move |pi| (ti, pi)))
             .collect();
-        // Each worker thread keeps one `MatchScratch` for the whole pass
-        // (workers are fresh scoped threads per par_map call, so the
-        // thread-local starts empty and is reused across every piece the
-        // worker claims — no per-segment frontier allocations).
-        thread_local! {
-            static PROJ_SCRATCH: RefCell<MatchScratch> = RefCell::new(MatchScratch::new());
-        }
-        let decode_sketch = obs.registry().sketch("core.decode.wall_us");
-        let project_sketch = obs.registry().sketch("core.project.wall_us");
-        // Thread-local scratch capacity outlives one analysis on the
-        // calling thread, so the high-water mark depends on what ran
-        // there before.
-        let arena_hw = obs
-            .registry()
-            .gauge_as("core.project.scratch_arena_hw", Determinism::Scheduling);
-        // Both fan-outs share one queue gauge and collect-lock counter:
-        // the pipeline never runs two fan-outs concurrently, so the
-        // gauge always describes the active one.
-        let par_metrics = jportal_par::ParMetrics::register(obs.registry());
-        let projected: Vec<(SegmentView, ProjectionStats)> =
-            jportal_par::par_map_metered(workers, &work, &par_metrics, |_, &(ti, pi)| {
-                let piece = &thread_pieces[ti].1[pi];
-                // `piece.segment` carries its capture core from the
-                // per-core drain path, so the decoded segment is already
-                // attributed correctly. Worker threads start with an
-                // empty span stack, so the parent is pinned explicitly —
-                // the span tree is identical under any `parallelism`.
-                let decoded = {
-                    let _s = obs
-                        .span("decode", "decode_segment")
-                        .parent("analyze")
-                        .arg("core", piece.core)
-                        .record_sketch(&decode_sketch);
-                    decode_segment(self.program, archive, &piece.segment)
-                };
-                debug_assert_eq!(decoded.core, piece.core);
-                let proj = PROJ_SCRATCH.with(|s| {
-                    let mut scratch = s.borrow_mut();
-                    let _s = obs
-                        .span("project", "project_segment")
-                        .parent("analyze")
-                        .arg("events", decoded.events.len())
-                        .record_sketch(&project_sketch);
-                    let proj = project_segment_with(
-                        self.program,
-                        &self.icfg,
-                        &anfa,
-                        &decoded.events,
-                        &self.config.projection,
-                        None,
-                        &mut scratch,
-                    );
-                    arena_hw.set_max(scratch.arena_high_water() as u64);
-                    proj
-                });
-                // Flight recorder: one `SegmentMatched` per piece, keyed
-                // (thread, piece index, 0). Emission happens inside the
-                // worker, but keys depend only on the work item — the
-                // sorted snapshot is identical at any worker count.
-                let mut rec = obs.journal_recorder(thread_pieces[ti].0 .0);
-                if rec.is_enabled() {
-                    rec.set_segment(pi as u32);
-                    rec.emit(JournalEvent::SegmentMatched {
-                        events: decoded.events.len() as u32,
-                        matched: proj.stats.matched as u32,
-                        restarts: proj.stats.restarts as u32,
-                        frontier_width: proj.stats.frontier_width_max as u32,
-                        candidates_tried: proj.stats.candidates_tried as u32,
-                        candidates_pruned: proj.stats.candidates_pruned as u32,
-                        dfa_path: proj.stats.dfa_runs > 0,
-                    });
-                }
-                (
-                    SegmentView {
-                        events: decoded.events,
-                        nodes: proj.nodes,
-                        breaks: proj.breaks,
-                        loss_before: decoded.loss_before,
-                    },
-                    proj.stats,
-                )
+        // Where each piece is cut: a function of the piece alone, so spans
+        // and journals compare across worker counts.
+        let bounds: Vec<Vec<usize>> = work
+            .iter()
+            .map(|&(ti, pi)| chunk_bounds(&thread_pieces[ti].1[pi].segment))
+            .collect();
+        let level1 = Level1 {
+            archive,
+            anfa: &anfa,
+            decode_sketch: obs.registry().sketch("core.decode.wall_us"),
+            project_sketch: obs.registry().sketch("core.project.wall_us"),
+            // Thread-local scratch capacity outlives one analysis on the
+            // calling thread, so the high-water mark depends on what ran
+            // there before.
+            arena_hw: obs
+                .registry()
+                .gauge_as("core.project.scratch_arena_hw", Determinism::Scheduling),
+            // Every fan-out shares one queue gauge and collect-lock
+            // counter: the pipeline never runs two fan-outs concurrently,
+            // so the gauge always describes the active one.
+            par_metrics: jportal_par::ParMetrics::register(obs.registry()),
+        };
+        // Whole pieces are one work item each: decode, then project.
+        let whole: Vec<Option<(SegmentView, ProjectionStats)>> =
+            jportal_par::par_map_metered(workers, &work, &level1.par_metrics, |w, &(ti, pi)| {
+                let (thread, pieces) = &thread_pieces[ti];
+                (bounds[w].len() == 2)
+                    .then(|| self.project_piece(&level1, *thread, pi, &pieces[pi], &bounds[w], 1))
             });
+        // Cut pieces follow one at a time, each fanning its chunks out
+        // over every worker.
+        let projected: Vec<(SegmentView, ProjectionStats)> = whole
+            .into_iter()
+            .zip(&work)
+            .zip(&bounds)
+            .map(|((done, &(ti, pi)), bounds)| {
+                done.unwrap_or_else(|| {
+                    let (thread, pieces) = &thread_pieces[ti];
+                    self.project_piece(&level1, *thread, pi, &pieces[pi], bounds, workers)
+                })
+            })
+            .collect();
 
         // Regroup per thread, reducing projection statistics in piece
         // order (merge is commutative, but a fixed order keeps the code
@@ -590,7 +571,7 @@ impl<'p> JPortal<'p> {
             jportal_par::par_map_owned_metered(
                 workers,
                 grouped,
-                &par_metrics,
+                &level1.par_metrics,
                 |_, (thread, views, projection)| {
                     self.assemble_thread(thread, views, projection, inner_workers, harvesting)
                 },
@@ -693,8 +674,137 @@ impl<'p> JPortal<'p> {
         }
     }
 
+    /// Decodes and projects a piece cut at `bounds` (see
+    /// [`chunk_bounds`]): the chunks decode in parallel on up to
+    /// `workers` threads, then project in parallel over the stitched
+    /// events, and each stitch reproduces the whole-piece result
+    /// (DESIGN.md §7, "Level 1 inside a piece"). A piece that is not cut
+    /// is the one-chunk case, and its spans carry no chunk index or
+    /// stitch.
+    fn project_piece(
+        &self,
+        level1: &Level1<'_, '_>,
+        thread: ThreadId,
+        pi: usize,
+        piece: &ThreadPiece,
+        bounds: &[usize],
+        workers: usize,
+    ) -> (SegmentView, ProjectionStats) {
+        let obs = &self.obs;
+        let packet_chunks: Vec<Range<usize>> = bounds.windows(2).map(|b| b[0]..b[1]).collect();
+        let cut = packet_chunks.len() > 1;
+        // `piece.segment` carries its capture core from the per-core
+        // drain path, so the decoded segment is already attributed
+        // correctly. Worker threads start with an empty span stack, so
+        // the parent is pinned explicitly — the span tree is identical
+        // under any `parallelism`.
+        let chunk_span = |cat, name, k: usize| {
+            let span = obs.span(cat, name).parent("analyze");
+            if cut {
+                span.arg("chunk", k)
+            } else {
+                span
+            }
+        };
+        let decoded = jportal_par::par_map_metered(
+            workers,
+            &packet_chunks,
+            &level1.par_metrics,
+            |k, range| {
+                let _s = chunk_span("decode", "decode_segment", k)
+                    .arg("core", piece.core)
+                    .record_sketch(&level1.decode_sketch);
+                decode_chunk(self.program, level1.archive, &piece.segment, range.clone())
+            },
+        );
+        let (decoded, offsets) = {
+            let _s = cut.then(|| {
+                obs.span("decode", "stitch")
+                    .parent("analyze")
+                    .arg("chunks", packet_chunks.len())
+            });
+            stitch_chunks(
+                self.program,
+                level1.archive,
+                &piece.segment,
+                bounds,
+                decoded,
+                workers,
+            )
+        };
+
+        let projector = Projector::new(
+            self.program,
+            &self.icfg,
+            level1.anfa,
+            &decoded.events,
+            &self.config.projection,
+        );
+        let event_chunks: Vec<Range<usize>> = offsets.windows(2).map(|o| o[0]..o[1]).collect();
+        let projected = jportal_par::par_map_metered(
+            workers,
+            &event_chunks,
+            &level1.par_metrics,
+            |k, range| {
+                PROJ_SCRATCH.with(|s| {
+                    let mut scratch = s.borrow_mut();
+                    let _s = chunk_span("project", "project_segment", k)
+                        .arg("events", range.len())
+                        .record_sketch(&level1.project_sketch);
+                    let chunk = projector.project_chunk(range.clone(), &mut scratch);
+                    level1.arena_hw.set_max(scratch.arena_high_water() as u64);
+                    chunk
+                })
+            },
+        );
+        let proj = PROJ_SCRATCH.with(|s| {
+            let _s = cut.then(|| {
+                obs.span("project", "stitch")
+                    .parent("analyze")
+                    .arg("chunks", event_chunks.len())
+            });
+            projector.stitch(projected, &mut s.borrow_mut())
+        });
+        self.segment_view(thread, pi, decoded, proj)
+    }
+
+    /// Journals piece `pi`'s projection and pairs its events with it.
+    fn segment_view(
+        &self,
+        thread: ThreadId,
+        pi: usize,
+        decoded: BcSegment,
+        proj: Projection,
+    ) -> (SegmentView, ProjectionStats) {
+        // Flight recorder: one `SegmentMatched` per piece, keyed
+        // (thread, piece index, 0). Keys depend only on the work item, so
+        // the sorted snapshot is identical at any worker count.
+        let mut rec = self.obs.journal_recorder(thread.0);
+        if rec.is_enabled() {
+            rec.set_segment(pi as u32);
+            rec.emit(JournalEvent::SegmentMatched {
+                events: decoded.events.len() as u32,
+                matched: proj.stats.matched as u32,
+                restarts: proj.stats.restarts as u32,
+                frontier_width: proj.stats.frontier_width_max as u32,
+                candidates_tried: proj.stats.candidates_tried as u32,
+                candidates_pruned: proj.stats.candidates_pruned as u32,
+                dfa_path: proj.stats.dfa_runs > 0,
+            });
+        }
+        (
+            SegmentView {
+                events: decoded.events,
+                nodes: proj.nodes,
+                breaks: proj.breaks,
+                loss_before: decoded.loss_before,
+            },
+            proj.stats,
+        )
+    }
+
     /// Compacts one thread's projected segments, fills every hole
-    /// across a lossy boundary and emits the final timeline.
+    /// across a lossy boundary, emits the final timeline and lints it.
     ///
     /// Holes fan out over `recovery_workers`: each fill reads only the
     /// immutable compacted segments and the recovery index, never
@@ -702,7 +812,8 @@ impl<'p> JPortal<'p> {
     /// journal recorder (its records are keyed by the hole's IS segment)
     /// and its own statistics, merged in hole order, and emission walks
     /// the fills in hole order — the report, the journal and the span
-    /// tree are identical at any worker count.
+    /// tree are identical at any worker count. With more than one
+    /// worker, the linter runs beside entry emission.
     fn assemble_thread(
         &self,
         thread: ThreadId,
@@ -752,75 +863,40 @@ impl<'p> JPortal<'p> {
 
         // Emit the timeline: each hole's fill, then the segment after it.
         let mut recovery_stats = RecoveryStats::default();
-        let mut entries: Vec<TraceEntry> = Vec::new();
-        let mut steps: Vec<LintStep> = Vec::new();
         let mut quality: Vec<FillQuality> = Vec::with_capacity(fills.len());
-        let mut fills = hole_posts
-            .iter()
-            .map(|&(post, _)| post)
-            .zip(fills)
-            .peekable();
-        for (i, seg) in compacted.iter().enumerate() {
-            if let Some((_, (fill, stats))) = fills.next_if(|&(post, _)| post == i) {
-                recovery_stats.merge(&stats);
-                quality.push(FillQuality {
-                    hole: quality.len() + 1,
-                    origin: fill.entries.first().map(|e| e.origin),
-                    confidence: fill.confidence,
-                    entries: fill.entries.len(),
-                });
-                entries.extend(fill.entries);
-                steps.extend(fill.steps);
-            }
-            for (idx, (e, node)) in seg.events.iter().zip(&seg.nodes).enumerate() {
-                let (method, bci) = match node {
-                    Some(n) => {
-                        let (m, b) = self.icfg.location(*n);
-                        (Some(m), Some(b))
-                    }
-                    None => (e.method, e.bci),
-                };
-                entries.push(TraceEntry {
-                    op: e.sym.op,
-                    method,
-                    bci,
-                    ts: e.ts,
-                    origin: TraceOrigin::Decoded,
-                });
-                // Segment starts are always seams (a hole or a fresh trace
-                // buffer precedes them, so events may be missing — lossy);
-                // within a segment, projection restarts (`breaks`) mark
-                // positions with no edge guarantee to their predecessor,
-                // but every hardware-observed event in between is present.
-                steps.push(LintStep {
-                    node: *node,
-                    op: e.sym.op,
-                    dir: e.sym.dir,
-                    boundary: idx == 0 || seg.breaks.binary_search(&idx).is_ok(),
-                    lossy: idx == 0,
-                });
-            }
+        let mut fill_entries = Vec::with_capacity(fills.len());
+        let mut fill_steps = Vec::with_capacity(fills.len());
+        for (&(post, _), (fill, stats)) in hole_posts.iter().zip(fills) {
+            recovery_stats.merge(&stats);
+            quality.push(FillQuality {
+                hole: quality.len() + 1,
+                origin: fill.entries.first().map(|e| e.origin),
+                confidence: fill.confidence,
+                entries: fill.entries.len(),
+            });
+            fill_entries.push((post, fill.entries));
+            fill_steps.push((post, fill.steps));
         }
-
-        let lint = if self.config.lint {
-            if obs.is_enabled() {
-                // Lint breaks go under the reserved segment key so they
-                // sort after every per-segment decision for the thread.
-                let mut recorder = obs.journal_recorder(thread.0);
-                recorder.set_segment(jportal_obs::journal::LINT_SEGMENT);
-                lint_steps_journaled(
-                    self.program,
-                    &self.icfg,
-                    &steps,
-                    self.summaries.as_ref(),
-                    obs,
-                    &mut recorder,
-                )
-            } else {
-                lint_steps_summarized(self.program, &self.icfg, &steps, self.summaries.as_ref())
-            }
+        let total = fill_entries.iter().map(|(_, e)| e.len()).sum::<usize>()
+            + compacted.iter().map(|v| v.events.len()).sum::<usize>();
+        let emit = obs.span("recover", "emit").arg("entries", total);
+        let steps = emit_steps(&compacted, fill_steps, total);
+        // With workers to spare, the linter reads the finished steps on
+        // one while this thread writes the entries.
+        let (entries, lint) = if recovery_workers > 1 && self.config.lint {
+            std::thread::scope(|s| {
+                let lint = s.spawn(|| self.lint_thread(thread, &steps));
+                let entries = self.emit_entries(&compacted, fill_entries, total);
+                drop(emit);
+                let lint = lint
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+                (entries, lint)
+            })
         } else {
-            Vec::new()
+            let entries = self.emit_entries(&compacted, fill_entries, total);
+            drop(emit);
+            (entries, self.lint_thread(thread, &steps))
         };
 
         // Harvest this thread's decoded complete segments for the
@@ -869,6 +945,68 @@ impl<'p> JPortal<'p> {
             },
             harvested,
         )
+    }
+
+    /// The trace entries of a thread's timeline: each hole's fill, then
+    /// the segment after it, projected node first, raw decode fallback.
+    fn emit_entries(
+        &self,
+        compacted: &[SegmentView],
+        fills: Vec<(usize, Vec<TraceEntry>)>,
+        total: usize,
+    ) -> Vec<TraceEntry> {
+        let mut entries = Vec::with_capacity(total);
+        let mut fills = fills.into_iter().peekable();
+        for (i, seg) in compacted.iter().enumerate() {
+            if let Some((_, fill)) = fills.next_if(|&(post, _)| post == i) {
+                entries.extend(fill);
+            }
+            entries.extend(seg.events.iter().zip(&seg.nodes).map(|(e, node)| {
+                let (method, bci) = match node {
+                    Some(n) => {
+                        let (m, b) = self.icfg.location(*n);
+                        (Some(m), Some(b))
+                    }
+                    None => (e.method, e.bci),
+                };
+                TraceEntry {
+                    op: e.sym.op,
+                    method,
+                    bci,
+                    ts: e.ts,
+                    origin: TraceOrigin::Decoded,
+                }
+            }));
+        }
+        debug_assert_eq!(entries.len(), total);
+        entries
+    }
+
+    /// Runs the feasibility linter over a thread's timeline, journaled
+    /// when observability is on. The span is pinned under
+    /// `assemble_thread`, because the linter may run on a worker.
+    fn lint_thread(&self, thread: ThreadId, steps: &[LintStep]) -> Vec<LintDiagnostic> {
+        if !self.config.lint {
+            return Vec::new();
+        }
+        let obs = &self.obs;
+        if obs.is_enabled() {
+            // Lint breaks go under the reserved segment key so they sort
+            // after every per-segment decision for the thread.
+            let mut recorder = obs.journal_recorder(thread.0);
+            recorder.set_segment(jportal_obs::journal::LINT_SEGMENT);
+            lint_steps_journaled(
+                self.program,
+                &self.icfg,
+                steps,
+                self.summaries.as_ref(),
+                obs,
+                "assemble_thread",
+                &mut recorder,
+            )
+        } else {
+            lint_steps_summarized(self.program, &self.icfg, steps, self.summaries.as_ref())
+        }
     }
 
     /// Fills the hole before `compacted[post]` for every `(post, loss)`
@@ -929,6 +1067,40 @@ impl<'p> JPortal<'p> {
             })
         })
     }
+}
+
+/// The linter's steps over a thread's timeline, aligned one-to-one with
+/// its entries. Segment starts are always seams (a hole or a fresh trace
+/// buffer precedes them, so events may be missing — lossy); within a
+/// segment, projection restarts (`breaks`) mark positions with no edge
+/// guarantee to their predecessor, but every hardware-observed event in
+/// between is present.
+fn emit_steps(
+    compacted: &[SegmentView],
+    fills: Vec<(usize, Vec<LintStep>)>,
+    total: usize,
+) -> Vec<LintStep> {
+    let mut steps = Vec::with_capacity(total);
+    let mut fills = fills.into_iter().peekable();
+    for (i, seg) in compacted.iter().enumerate() {
+        if let Some((_, fill)) = fills.next_if(|&(post, _)| post == i) {
+            steps.extend(fill);
+        }
+        // `breaks` is sorted, so one cursor walks it alongside the events.
+        let mut seams = seg.breaks.iter().copied().peekable();
+        for (idx, (e, node)) in seg.events.iter().zip(&seg.nodes).enumerate() {
+            let seam = seams.next_if_eq(&idx).is_some();
+            steps.push(LintStep {
+                node: *node,
+                op: e.sym.op,
+                dir: e.sym.dir,
+                boundary: idx == 0 || seam,
+                lossy: idx == 0,
+            });
+        }
+    }
+    debug_assert_eq!(steps.len(), total);
+    steps
 }
 
 #[cfg(test)]

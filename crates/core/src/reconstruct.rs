@@ -21,6 +21,7 @@ use jportal_cfg::abs::AbstractNfa;
 use jportal_cfg::{Icfg, MatchScratch, Nfa, NodeId, Sym};
 
 use crate::decode::BcEvent;
+use std::ops::Range;
 
 /// Projection tuning.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -151,52 +152,230 @@ pub fn project_segment_with(
     _summaries: Option<&SummaryTable>,
     scratch: &mut MatchScratch,
 ) -> Projection {
-    let nfa = Nfa::new(program, icfg);
-    let mut out: Vec<Option<NodeId>> = vec![None; events.len()];
-    let mut breaks: Vec<usize> = Vec::new();
-    let mut stats = ProjectionStats::default();
-    scratch.reset_frontier_peak();
+    let projector = Projector::new(program, icfg, anfa, events, cfg);
+    let whole = projector.project_chunk(0..events.len(), scratch);
+    projector.stitch(vec![whole], scratch)
+}
 
-    let constraint = |e: &BcEvent| -> Option<NodeId> {
-        match (e.method, e.bci) {
-            (Some(m), Some(b)) => Some(icfg.node(m, b)),
-            _ => None,
+/// One matched run: what projection found starting at one event.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    /// The event the run starts at.
+    start: usize,
+    /// Events matched from `start`; 0 when that event is unplaceable.
+    len: usize,
+    /// Candidate start states examined.
+    tried: usize,
+    /// Candidates the abstract filter rejected.
+    pruned: usize,
+    /// Widest frontier layer of this run's match.
+    peak: u32,
+    /// Whether the abstract start filter ran.
+    dfa: bool,
+}
+
+impl Run {
+    /// Where the next run starts.
+    fn end(&self) -> usize {
+        self.start + self.len.max(1)
+    }
+}
+
+/// The runs one chunk worker recorded (see [`Projector::project_chunk`]).
+#[derive(Debug, Clone, Default)]
+pub struct ProjectedChunk {
+    /// Consecutive runs, the first starting at the chunk's first event,
+    /// each ending inside the chunk.
+    runs: Vec<Run>,
+    /// Nodes of `runs`, from the first run's start to the last run's end.
+    nodes: Vec<Option<NodeId>>,
+}
+
+/// Projection of one segment, cut into chunks that project in parallel.
+///
+/// Each matched run depends only on the position it starts at: the start
+/// layer and the longest match read the segment's events from there on,
+/// and nothing else crosses a restart. So a chunk can be projected
+/// speculatively, as if a run restarts at its first event, and
+/// [`Projector::stitch`] re-runs the true run that crosses each cut until
+/// one ends on a speculated start; from there on the chunk's runs are the
+/// true ones (the convergence of data-parallel finite-state machines,
+/// Mytkowicz, Musuvathi and Schulte, ASPLOS 2014). A chunk stops matching
+/// at its end, so the work and nodes of a chunk stay within its range even
+/// when one run spans the whole segment, as in an interpreted-only trace;
+/// the stitch runs each true run that crosses a cut in full.
+/// [`project_segment_with`] is the one-chunk case.
+pub struct Projector<'a, 'p> {
+    nfa: Nfa<'a>,
+    icfg: &'a Icfg,
+    anfa: &'a AbstractNfa<'p>,
+    events: &'a [BcEvent],
+    /// The segment's symbols, so matched runs and abstraction windows are
+    /// slices instead of per-restart collects.
+    syms: Vec<Sym>,
+    cfg: ProjectionConfig,
+}
+
+impl<'a, 'p> Projector<'a, 'p> {
+    /// A projector over `events`.
+    pub fn new(
+        program: &'a Program,
+        icfg: &'a Icfg,
+        anfa: &'a AbstractNfa<'p>,
+        events: &'a [BcEvent],
+        cfg: &ProjectionConfig,
+    ) -> Projector<'a, 'p> {
+        Projector {
+            nfa: Nfa::new(program, icfg),
+            icfg,
+            anfa,
+            events,
+            syms: events.iter().map(|e| e.sym).collect(),
+            cfg: *cfg,
         }
-    };
+    }
 
-    // One flat symbol array per segment, so matched runs and abstraction
-    // windows are slices instead of per-restart collects.
-    let syms: Vec<Sym> = events.iter().map(|e| e.sym).collect();
-    let mut starts: Vec<NodeId> = Vec::new();
-    let mut witness: Vec<NodeId> = Vec::new();
-
-    let mut i = 0usize;
-    while i < events.len() {
-        // Each outer iteration starts a fresh matched run; all but the
-        // first are restart seams with no edge guarantee behind them.
-        if i > 0 {
-            breaks.push(i);
+    /// Projects the chunk `range` speculatively: restarts a run at its
+    /// first event and records runs until one reaches its end. That run
+    /// is matched no further than the chunk's end and dropped, unless the
+    /// chunk ends the segment; if it is a true run, the stitch runs it in
+    /// full. The start-layer filter still reads its abstraction window
+    /// past the cut, exactly as a whole-segment pass does.
+    pub fn project_chunk(&self, range: Range<usize>, scratch: &mut MatchScratch) -> ProjectedChunk {
+        let mut chunk = ProjectedChunk {
+            runs: Vec::new(),
+            nodes: Vec::with_capacity(range.len()),
+        };
+        let (mut starts, mut witness) = (Vec::new(), Vec::new());
+        let cut = range.end < self.events.len();
+        let mut i = range.start;
+        while i < range.end {
+            let kept = chunk.nodes.len();
+            let run = self.run_at(
+                i,
+                range.end,
+                scratch,
+                &mut starts,
+                &mut witness,
+                &mut chunk.nodes,
+            );
+            if cut && run.len == range.end - i {
+                // The match was still alive at the cut: its true length,
+                // witness and frontier peak lie past the chunk.
+                chunk.nodes.truncate(kept);
+                break;
+            }
+            i = run.end();
+            chunk.runs.push(run);
         }
+        chunk
+    }
+
+    /// Joins the chunks [`Projector::project_chunk`] produced into the
+    /// segment's projection, identical to projecting it in one pass:
+    /// walking the chunks in order, it re-runs the true run at the next
+    /// unplaced event until one ends on a speculated start, and from
+    /// there takes the chunk's runs as they are. Nodes, seams and
+    /// statistics come from true runs only. Events no chunk covers, such
+    /// as the run a chunk dropped at its end, are projected here.
+    pub fn stitch(&self, chunks: Vec<ProjectedChunk>, scratch: &mut MatchScratch) -> Projection {
+        let n = self.events.len();
+        let mut out = Projection::default();
+        let mut nodes: Vec<Option<NodeId>> = Vec::new();
+        let (mut starts, mut witness) = (Vec::new(), Vec::new());
+        // The start of the next true run; `nodes` covers every event
+        // before it.
+        let mut p = 0usize;
+        let mut rerun = |p: usize, nodes: &mut Vec<Option<NodeId>>, out: &mut Projection| {
+            nodes.reserve_exact(n - nodes.len());
+            let run = self.run_at(p, n, scratch, &mut starts, &mut witness, nodes);
+            fold_run(out, &run, n);
+            run.end()
+        };
+        for chunk in chunks {
+            let runs = &chunk.runs;
+            // Speculated runs that start before `p` lie inside true ones.
+            let mut r = runs.partition_point(|run| run.start < p);
+            while r < runs.len() {
+                if runs[r].start != p {
+                    p = rerun(p, &mut nodes, &mut out);
+                    r += runs[r..].partition_point(|run| run.start < p);
+                    continue;
+                }
+                // Converged: this run and every later one are true.
+                for run in &runs[r..] {
+                    fold_run(&mut out, run, n);
+                }
+                let from = p - runs[0].start;
+                p = runs[runs.len() - 1].end();
+                if nodes.is_empty() && from == 0 {
+                    nodes = chunk.nodes;
+                    nodes.reserve_exact(n - nodes.len());
+                } else {
+                    nodes.reserve_exact(n - nodes.len());
+                    nodes.extend_from_slice(&chunk.nodes[from..]);
+                }
+                break;
+            }
+        }
+        while p < n {
+            p = rerun(p, &mut nodes, &mut out);
+        }
+        assert_eq!(nodes.len(), n, "one node slot per event");
+        out.nodes = nodes;
+        out
+    }
+
+    /// The run starting at event `i`, matched no further than event
+    /// `end`; appends its nodes (one `None` for an unplaceable event) to
+    /// `nodes`.
+    fn run_at(
+        &self,
+        i: usize,
+        end: usize,
+        scratch: &mut MatchScratch,
+        starts: &mut Vec<NodeId>,
+        witness: &mut Vec<NodeId>,
+        nodes: &mut Vec<Option<NodeId>>,
+    ) -> Run {
+        let events = self.events;
+        let constraint = |e: &BcEvent| -> Option<NodeId> {
+            match (e.method, e.bci) {
+                (Some(m), Some(b)) => Some(self.icfg.node(m, b)),
+                _ => None,
+            }
+        };
+        scratch.reset_frontier_peak();
+        let mut run = Run {
+            start: i,
+            len: 0,
+            tried: 0,
+            pruned: 0,
+            peak: 0,
+            dfa: false,
+        };
         // Build the start layer for position i.
         let sym0 = events[i].sym;
         starts.clear();
         match constraint(&events[i]) {
             Some(n) => starts.push(n),
             None => {
-                let candidates = nfa.start_candidates(sym0);
-                stats.candidates_tried += candidates.len();
-                if cfg.use_abstraction && candidates.len() >= cfg.abstraction_threshold {
-                    stats.dfa_runs += 1;
-                    let lookahead_end = (i + cfg.abstraction_lookahead).min(events.len());
-                    let window = &syms[i..lookahead_end];
+                let candidates = self.nfa.start_candidates(sym0);
+                run.tried = candidates.len();
+                if self.cfg.use_abstraction && candidates.len() >= self.cfg.abstraction_threshold {
+                    run.dfa = true;
+                    let lookahead_end = i
+                        .saturating_add(self.cfg.abstraction_lookahead)
+                        .min(events.len());
+                    let window = &self.syms[i..lookahead_end];
                     let abs = jportal_cfg::tier::abstract_seq(window, jportal_cfg::Tier::Control);
                     starts.extend(
                         candidates
                             .iter()
                             .copied()
-                            .filter(|&n| anfa.abstract_accepts_from(n, sym0, &abs)),
+                            .filter(|&n| self.anfa.abstract_accepts_from(n, sym0, &abs)),
                     );
-                    stats.candidates_pruned += candidates.len() - starts.len();
+                    run.pruned = candidates.len() - starts.len();
                 } else {
                     starts.extend_from_slice(candidates);
                 }
@@ -204,35 +383,45 @@ pub fn project_segment_with(
         };
         if starts.is_empty() {
             // Unplaceable event; skip it.
-            stats.unmatched += 1;
-            i += 1;
-            stats.restarts += 1;
-            continue;
+            nodes.push(None);
+            return run;
         }
-
         // Layered simulation with constraints, keeping the longest prefix.
-        let matched_len = nfa.match_longest_constrained_with(
-            &starts,
-            &syms[i..],
+        run.len = self.nfa.match_longest_constrained_with(
+            starts,
+            &self.syms[i..end],
             |k| constraint(&events[i + k]),
             scratch,
-            &mut witness,
+            witness,
         );
-        for (back, &node) in witness.iter().enumerate() {
-            out[i + back] = Some(node);
-        }
-        let j = i + matched_len;
-        stats.matched += matched_len;
-        if j < events.len() {
+        nodes.extend(witness.iter().map(|&node| Some(node)));
+        run.peak = scratch.frontier_peak();
+        run
+    }
+}
+
+/// Folds one true run of a segment of `n` events into `out`'s seams and
+/// statistics.
+fn fold_run(out: &mut Projection, run: &Run, n: usize) {
+    // Every run but the first is a restart seam with no edge guarantee
+    // behind it.
+    if run.start > 0 {
+        out.breaks.push(run.start);
+    }
+    let stats = &mut out.stats;
+    stats.candidates_tried += run.tried;
+    stats.candidates_pruned += run.pruned;
+    stats.dfa_runs += usize::from(run.dfa);
+    stats.frontier_width_max = stats.frontier_width_max.max(run.peak as usize);
+    if run.len == 0 {
+        // An unplaceable event counts as a restart even at the end.
+        stats.unmatched += 1;
+        stats.restarts += 1;
+    } else {
+        stats.matched += run.len;
+        if run.end() < n {
             stats.restarts += 1;
         }
-        i = j;
-    }
-    stats.frontier_width_max = scratch.frontier_peak() as usize;
-    Projection {
-        nodes: out,
-        breaks,
-        stats,
     }
 }
 
@@ -432,6 +621,54 @@ mod tests {
         let b = project_segment(&p, &icfg, &anfa, &not_taken, &ProjectionConfig::default());
         assert_eq!(icfg.bci_of(a.nodes[2].unwrap()), Bci(17));
         assert_eq!(icfg.bci_of(b.nodes[2].unwrap()), Bci(15));
+    }
+
+    #[test]
+    fn chunks_stop_matching_at_their_end() {
+        // An interpreted counting loop: one matched run spans every cut.
+        let mut pb = ProgramBuilder::new();
+        let c = pb.add_class("Test", None, 0);
+        let mut m = pb.method(c, "main", 0, false);
+        let (head, done) = (m.label(), m.label());
+        m.emit(I::Iconst(100));
+        m.emit(I::Istore(0));
+        m.bind(head);
+        m.emit(I::Iload(0));
+        m.branch_if(CmpKind::Le, done);
+        m.emit(I::Iinc(0, -1));
+        m.jump(head);
+        m.bind(done);
+        m.emit(I::Return);
+        let main = m.finish();
+        let p = pb.finish_with_entry(main).unwrap();
+        let icfg = Icfg::build(&p);
+        let anfa = AbstractNfa::new(&p, &icfg);
+        let mut events = vec![ev(OpKind::Iconst, None), ev(OpKind::Istore, None)];
+        for _ in 0..100 {
+            events.push(ev(OpKind::Iload, None));
+            events.push(ev(OpKind::Ifle, Some(false)));
+            events.push(ev(OpKind::Iinc, None));
+            events.push(ev(OpKind::Goto, None));
+        }
+        let cfg = ProjectionConfig::default();
+        let whole = project_segment(&p, &icfg, &anfa, &events, &cfg);
+        assert!(whole.breaks.is_empty(), "one run: {:?}", whole.breaks);
+
+        let projector = Projector::new(&p, &icfg, &anfa, &events, &cfg);
+        let mut scratch = MatchScratch::new();
+        let cuts = [0, 97, 200, 301, events.len()];
+        let chunks: Vec<ProjectedChunk> = cuts
+            .windows(2)
+            .map(|c| projector.project_chunk(c[0]..c[1], &mut scratch))
+            .collect();
+        for (chunk, c) in chunks.iter().zip(cuts.windows(2)) {
+            assert!(chunk.nodes.len() <= c[1] - c[0], "nodes stay in the chunk");
+            assert!(chunk.runs.iter().all(|r| r.end() <= c[1]));
+        }
+        // Only the chunk that ends the segment keeps the run reaching it.
+        assert!(chunks[..3].iter().all(|c| c.runs.is_empty()));
+        assert_eq!(chunks[3].runs.len(), 1);
+        assert_eq!(projector.stitch(chunks, &mut scratch), whole);
     }
 
     use jportal_bytecode::Program;

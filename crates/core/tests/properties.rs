@@ -1,13 +1,19 @@
 //! The big end-to-end property: **any** runnable program traced without
 //! loss reconstructs its control flow exactly, through both execution
-//! modes — the invariant the entire system hangs on.
+//! modes — the invariant the entire system hangs on. Alongside it, the
+//! two stitches that let one long piece decode and project in parallel
+//! reproduce the whole-piece results.
 
 use proptest::prelude::*;
 
 use jportal_bytecode::builder::ProgramBuilder;
 use jportal_bytecode::{CmpKind, Instruction as I, Program};
+use jportal_cfg::abs::AbstractNfa;
+use jportal_cfg::{Icfg, MatchScratch};
+use jportal_core::decode::{decode_chunk, decode_segment, stitch_chunks};
+use jportal_core::reconstruct::{project_segment, ProjectedChunk, ProjectionConfig, Projector};
 use jportal_core::JPortal;
-use jportal_ipt::ThreadId;
+use jportal_ipt::{decode_packets, segment_stream, Packet, RawSegment, ThreadId};
 use jportal_jvm::runtime::{Jvm, JvmConfig};
 
 /// A random two-method program: `main` loops calling `f(i)` whose body
@@ -207,5 +213,115 @@ proptest! {
         let ser_seq = format!("{sequential:?}");
         prop_assert_eq!(&ser_seq, &format!("{four_workers:?}"));
         prop_assert_eq!(&ser_seq, &format!("{default_workers:?}"));
+    }
+}
+
+/// `program` traced without loss, interpreted-only and with aggressive
+/// tiered compilation: each run's raw segments.
+fn lossless_segments(program: &Program) -> Vec<(jportal_jvm::RunResult, Vec<RawSegment>)> {
+    [u64::MAX, 2]
+        .into_iter()
+        .map(|c1_threshold| {
+            let r = Jvm::new(JvmConfig {
+                c1_threshold,
+                c2_threshold: c1_threshold.saturating_add(3),
+                ..JvmConfig::default()
+            })
+            .run(program);
+            assert!(r.thread_errors.is_empty());
+            let traces = r.traces.as_ref().expect("tracing on");
+            let packets = decode_packets(&traces.per_core[0].bytes);
+            let raw = segment_stream(packets, &traces.per_core[0].losses, 0);
+            (r, raw)
+        })
+        .collect()
+}
+
+/// Sorted distinct cut positions in `1..len` drawn from `picks`, framed
+/// by `0` and `len`.
+fn bounds_from(picks: &[u32], len: usize, allowed: impl Fn(usize) -> bool) -> Vec<usize> {
+    let mut bounds: Vec<usize> = picks
+        .iter()
+        .map(|&p| p as usize % len.max(1))
+        .filter(|&p| p > 0 && allowed(p))
+        .collect();
+    bounds.push(0);
+    bounds.push(len);
+    bounds.sort_unstable();
+    bounds.dedup();
+    bounds
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Cutting a piece at any TIPs and decoding the chunks speculatively
+    /// reproduces the whole-piece decode once stitched.
+    #[test]
+    fn decoding_at_random_tip_cuts_equals_the_whole_decode(
+        program in arb_program(),
+        picks in prop::collection::vec(any::<u32>(), 1..8),
+        workers in 1usize..4,
+    ) {
+        for (r, segments) in lossless_segments(&program) {
+            for raw in &segments {
+                let is_tip = |i: usize| matches!(
+                    raw.packets()[i].packet,
+                    Packet::Tip { .. } | Packet::TipPge { .. }
+                );
+                let bounds = bounds_from(&picks, raw.len(), is_tip);
+                let chunks = bounds
+                    .windows(2)
+                    .map(|b| decode_chunk(&program, &r.archive, raw, b[0]..b[1]))
+                    .collect();
+                let (cut, offsets) =
+                    stitch_chunks(&program, &r.archive, raw, &bounds, chunks, workers);
+                let whole = decode_segment(&program, &r.archive, raw);
+                prop_assert_eq!(offsets.len(), bounds.len());
+                prop_assert_eq!(offsets[offsets.len() - 1], whole.events.len());
+                prop_assert_eq!(cut.events, whole.events);
+            }
+        }
+    }
+
+    /// Projecting any chunking of a segment speculatively and stitching
+    /// the chunks equals projecting it in one pass: nodes, seams and every
+    /// statistic, the frontier peak included. So does stitching any
+    /// subset of the chunks, which leaves the stitch to project the rest.
+    #[test]
+    fn projection_of_random_chunkings_equals_the_whole_projection(
+        program in arb_program(),
+        picks in prop::collection::vec(any::<u32>(), 0..10),
+        dropped in any::<u32>(),
+        use_abstraction in any::<bool>(),
+    ) {
+        let icfg = Icfg::build(&program);
+        let anfa = AbstractNfa::new(&program, &icfg);
+        let cfg = ProjectionConfig { use_abstraction, ..ProjectionConfig::default() };
+        let mut scratch = MatchScratch::new();
+        for (r, segments) in lossless_segments(&program) {
+            for raw in &segments {
+                let events = decode_segment(&program, &r.archive, raw).events;
+                let whole = project_segment(&program, &icfg, &anfa, &events, &cfg);
+                let bounds = bounds_from(&picks, events.len(), |_| true);
+                let projector = Projector::new(&program, &icfg, &anfa, &events, &cfg);
+                let chunks: Vec<ProjectedChunk> = bounds
+                    .windows(2)
+                    .map(|b| projector.project_chunk(b[0]..b[1], &mut scratch))
+                    .collect();
+                let kept: Vec<ProjectedChunk> = chunks
+                    .iter()
+                    .enumerate()
+                    .filter(|&(k, _)| dropped >> (k % 32) & 1 == 0)
+                    .map(|(_, c)| c.clone())
+                    .collect();
+                for chunks in [chunks, kept] {
+                    let stitched = projector.stitch(chunks, &mut scratch);
+                    prop_assert_eq!(&stitched.nodes, &whole.nodes);
+                    prop_assert_eq!(&stitched.breaks, &whole.breaks);
+                    prop_assert_eq!(stitched.stats, whole.stats);
+                }
+            }
+        }
     }
 }

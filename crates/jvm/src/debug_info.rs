@@ -49,7 +49,8 @@ pub struct DebugRecord {
 /// t.push(DebugRecord { pc: 0x108, inline_id: 0, bci: Bci(1) });
 /// let rec = t.lookup(0x10A).unwrap();
 /// assert_eq!(rec.bci, Bci(1));
-/// assert_eq!(t.method_of(rec.inline_id), MethodId(3));
+/// assert_eq!(t.method_of(rec.inline_id), Some(MethodId(3)));
+/// assert_eq!(t.method_of(7), None);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DebugTable {
@@ -109,9 +110,13 @@ impl DebugTable {
             .map(|i| &self.records[i])
     }
 
-    /// The method of an inline frame.
-    pub fn method_of(&self, inline_id: u32) -> MethodId {
-        self.inline_tree[inline_id as usize].method
+    /// The method of an inline frame, or `None` when the table has no
+    /// frame `inline_id` (a debug record read from an untrusted archive
+    /// can name one).
+    pub fn method_of(&self, inline_id: u32) -> Option<MethodId> {
+        self.inline_tree
+            .get(inline_id as usize)
+            .map(|frame| frame.method)
     }
 
     /// The inline frame with the given id.
@@ -231,7 +236,7 @@ mod tests {
         assert_eq!(p.len(), 2);
         assert_eq!(p[0].0, MethodId(1));
         assert_eq!(p[1], (MethodId(2), Bci(5)));
-        assert_eq!(t.method_of(1), MethodId(2));
+        assert_eq!(t.method_of(1), Some(MethodId(2)));
     }
 
     #[test]

@@ -357,7 +357,10 @@ impl<'p> Codegen<'p> {
         // Flatten to know each item's successor (for fall-through checks).
         let flat = flatten(plan);
         for (idx, &(inline_id, bci)) in flat.iter().enumerate() {
-            let method = self.debug.method_of(inline_id);
+            let method = self
+                .debug
+                .method_of(inline_id)
+                .expect("the plan names only frames this compilation added");
             let insn = self.program.method(method).insn(bci).clone();
             let pc = self.next_addr;
             self.bci_pc.insert((inline_id, bci.0), pc);
@@ -604,7 +607,7 @@ mod tests {
         );
         match cm.op_info(0, Bci(1)) {
             OpInfo::CallInline { callee } => {
-                assert_eq!(cm.debug.method_of(callee), MethodId(0));
+                assert_eq!(cm.debug.method_of(callee), Some(MethodId(0)));
                 // The inlined callee's bcis all have machine pcs.
                 for bci in 0..p.method(MethodId(0)).code.len() as u32 {
                     assert!(cm.pc_of(callee, Bci(bci)).is_some());

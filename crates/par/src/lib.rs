@@ -234,6 +234,56 @@ where
     tagged.into_iter().map(|(_, r)| r).collect()
 }
 
+/// Concatenates `parts` into one vector of exactly their total length,
+/// copying the parts on up to `workers` threads.
+///
+/// A fresh buffer pays a page fault per page on first touch, so copying
+/// a large result serially costs about as much as producing it on one
+/// worker; spreading the copy spreads the faults. With `workers <= 1`
+/// (or one part) this is a plain serial `extend_from_slice` per part.
+///
+/// # Examples
+///
+/// ```
+/// let whole = jportal_par::par_concat(4, &[&[1u32, 2][..], &[], &[3, 4, 5]]);
+/// assert_eq!(whole, vec![1, 2, 3, 4, 5]);
+/// assert_eq!(whole.capacity(), 5);
+/// ```
+pub fn par_concat<T: Copy + Send + Sync>(workers: usize, parts: &[&[T]]) -> Vec<T> {
+    let total: usize = parts.iter().map(|p| p.len()).sum();
+    let mut out: Vec<T> = Vec::with_capacity(total);
+    if workers <= 1 || parts.len() <= 1 {
+        for part in parts {
+            out.extend_from_slice(part);
+        }
+        return out;
+    }
+    // Partition the first `total` spare slots into one disjoint range
+    // per part, in order.
+    let mut rest = &mut out.spare_capacity_mut()[..total];
+    let mut ranges = Vec::with_capacity(parts.len());
+    for part in parts {
+        let (range, tail) = std::mem::take(&mut rest).split_at_mut(part.len());
+        ranges.push((range, *part));
+        rest = tail;
+    }
+    let written: usize = par_map_owned(workers, ranges, |_, (range, part)| {
+        for (slot, &value) in range.iter_mut().zip(part) {
+            slot.write(value);
+        }
+        range.len().min(part.len())
+    })
+    .into_iter()
+    .sum();
+    assert_eq!(written, total, "every slot of the result is written once");
+    // SAFETY: the first `total` slots of `out`'s capacity were split into
+    // disjoint ranges whose lengths sum to `total`, and each range was
+    // written in full from its part (the assertion above counts the
+    // writes), so all `total` elements are initialized.
+    unsafe { out.set_len(total) };
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -305,6 +355,19 @@ mod tests {
         // Each worker with a non-empty local batch takes the lock once
         // per fan-out; two fan-outs at 4 workers bound it to 8.
         assert!(acquires.1 >= 2 && acquires.1 <= 8);
+    }
+
+    #[test]
+    fn concat_is_exact_at_any_worker_count() {
+        let parts: Vec<Vec<u64>> = (0..9u64).map(|i| (0..i * 37 % 11).collect()).collect();
+        let slices: Vec<&[u64]> = parts.iter().map(|p| &p[..]).collect();
+        let expected: Vec<u64> = parts.concat();
+        for workers in [1, 2, 4, 16] {
+            let whole = par_concat(workers, &slices);
+            assert_eq!(whole, expected, "{workers} workers");
+            assert_eq!(whole.capacity(), expected.len(), "{workers} workers");
+        }
+        assert!(par_concat::<u8>(4, &[]).is_empty());
     }
 
     #[test]

@@ -1,13 +1,16 @@
-//! Hole-level recovery fan-out: a thread's holes fill in parallel, yet
-//! the report, the decision journal and the span tree are identical at
-//! every worker count. The report is also identical with observability
-//! off, where recovery skips more of tier 1's rejects unvisited because
-//! no journal has to see them.
+//! The fan-outs inside one thread: a thread's holes fill in parallel,
+//! and a long piece is cut into chunks that decode and project in
+//! parallel, yet the report, the decision journal and the span tree are
+//! identical at every worker count. The report is also identical with
+//! observability off, where recovery skips more of tier 1's rejects
+//! unvisited because no journal has to see them.
 //!
 //! Two lossy inputs under the Figure 7 preset (ring 2272 B, drain 158
 //! B/kcycle, one JIT debug record in ten lost): single-threaded fop, where
 //! every idle worker goes to the holes, and three-threaded h2, where the
-//! thread fan-out and the hole fan-out share the workers.
+//! thread fan-out and the hole fan-out share the workers. One lossless
+//! input, sunflow at the smallest scale whose one piece is cut into four
+//! chunks.
 
 use jportal::core::{JPortal, JPortalConfig, JPortalReport};
 use jportal::jvm::{JitConfig, Jvm, JvmConfig, RunResult};
@@ -18,10 +21,14 @@ const FIG7_BUFFER: usize = 2272;
 const FIG7_DRAIN: u64 = 158;
 
 fn lossy_run(w: &Workload) -> RunResult {
+    run(w, FIG7_BUFFER, FIG7_DRAIN)
+}
+
+fn run(w: &Workload, buffer: usize, drain: u64) -> RunResult {
     let r = Jvm::new(JvmConfig {
         cores: if w.multithreaded { 2 } else { 1 },
-        pt_buffer_capacity: FIG7_BUFFER,
-        drain_bytes_per_kilocycle: FIG7_DRAIN,
+        pt_buffer_capacity: buffer,
+        drain_bytes_per_kilocycle: drain,
         jit: JitConfig {
             debug_degrade: 0.10,
             ..JitConfig::default()
@@ -80,13 +87,44 @@ fn span_structure(t: &TelemetryReport) -> Vec<String> {
     v
 }
 
-/// Analyzes `name@scale` at one, two and four workers, and with
-/// observability off at one and two. Every thread must have at least
-/// `min_holes` holes, so each thread's fan-out really runs.
+/// Analyzes `r` at one, two and four workers, and with observability off
+/// at one and two: every analysis must match the one-worker one, which
+/// is returned.
+fn check_identical(name: &str, w: &Workload, r: &RunResult) -> Outcome {
+    let one = analyze(w, r, 1, true);
+    for workers in [2, 4] {
+        let many = analyze(w, r, workers, true);
+        assert_eq!(one.report, many.report, "{name}: report at {workers}");
+        assert_eq!(one.debug, many.debug, "{name}: report text at {workers}");
+        assert_eq!(one.journal, many.journal, "{name}: journal at {workers}");
+        assert_eq!(one.spans, many.spans, "{name}: span tree at {workers}");
+    }
+    for workers in [1, 2] {
+        let quiet = analyze(w, r, workers, false);
+        assert_eq!(
+            one.report, quiet.report,
+            "{name}: report with observability off at {workers}"
+        );
+        assert_eq!(
+            one.debug, quiet.debug,
+            "{name}: report text with observability off at {workers}"
+        );
+        assert_eq!(
+            quiet.journal.lines().count(),
+            1,
+            "{name}: only the summary line with observability off"
+        );
+    }
+    one
+}
+
+/// Checks `name@scale` under the Figure 7 preset at every worker count.
+/// Every thread must have at least `min_holes` holes, so each thread's
+/// fan-out really runs.
 fn check(name: &str, scale: u32, min_holes: usize) {
     let w = workload_by_name(name, scale);
     let r = lossy_run(&w);
-    let one = analyze(&w, &r, 1, true);
+    let one = check_identical(name, &w, &r);
     for t in &one.report.threads {
         assert!(
             t.holes.len() >= min_holes,
@@ -107,30 +145,6 @@ fn check(name: &str, scale: u32, min_holes: usize) {
         holes,
         "{name}: one journaled opening per hole"
     );
-
-    for workers in [2, 4] {
-        let many = analyze(&w, &r, workers, true);
-        assert_eq!(one.report, many.report, "{name}: report at {workers}");
-        assert_eq!(one.debug, many.debug, "{name}: report text at {workers}");
-        assert_eq!(one.journal, many.journal, "{name}: journal at {workers}");
-        assert_eq!(one.spans, many.spans, "{name}: span tree at {workers}");
-    }
-    for workers in [1, 2] {
-        let quiet = analyze(&w, &r, workers, false);
-        assert_eq!(
-            one.report, quiet.report,
-            "{name}: report with observability off at {workers}"
-        );
-        assert_eq!(
-            one.debug, quiet.debug,
-            "{name}: report text with observability off at {workers}"
-        );
-        assert_eq!(
-            quiet.journal.lines().count(),
-            1,
-            "{name}: only the summary line with observability off"
-        );
-    }
 }
 
 #[test]
@@ -146,4 +160,45 @@ fn multi_thread_holes_fill_identically_at_any_worker_count() {
     let w = workload_by_name("h2", 2);
     assert_eq!(w.threads.len(), 3);
     check("h2", 2, 2);
+}
+
+#[test]
+fn long_piece_chunks_identically_at_any_worker_count() {
+    // Lossless sunflow@3 is one piece of 16,651 packets, cut into four
+    // chunks that decode and project in parallel; the linter overlaps
+    // entry emission whenever a second worker is free.
+    let w = workload_by_name("sunflow", 3);
+    let r = run(&w, 1 << 22, 1 << 20);
+    let one = check_identical("sunflow", &w, &r);
+    let [thread] = &one.report.threads[..] else {
+        panic!("sunflow: one thread expected");
+    };
+    assert_eq!(thread.segments, 1, "sunflow: one lossless piece");
+    let count = |prefix: &str| {
+        one.spans
+            .iter()
+            .filter(|s| s.starts_with(prefix) && s.contains("chunk="))
+            .count()
+    };
+    let chunks = count("decode/analyze/decode_segment{");
+    assert!(chunks >= 4, "sunflow: {chunks} chunks, expected at least 4");
+    assert_eq!(
+        count("project/analyze/project_segment{"),
+        chunks,
+        "sunflow: one projection span per chunk"
+    );
+    for stage in ["decode", "project"] {
+        let stitch = format!("{stage}/analyze/stitch{{chunks={chunks}}}");
+        assert!(one.spans.contains(&stitch), "sunflow: {stitch}");
+    }
+    let emit = format!(
+        "recover/assemble_thread/emit{{entries={}}}",
+        thread.entries.len()
+    );
+    assert!(one.spans.contains(&emit), "sunflow: {emit}");
+    assert_eq!(
+        one.journal.matches("\"segment_matched\"").count(),
+        1,
+        "sunflow: one journaled projection for the piece"
+    );
 }
