@@ -9,7 +9,8 @@
 //!   side's fastest rep (interference-robust; medians are reported too).
 //!   Budget: <5% on full runs.
 //! * `scrape_p99_us` — client-observed p99 latency of `/metrics.json`
-//!   over loopback while analyses run. Budget: 25 ms.
+//!   over loopback while analyses run, which includes folding the
+//!   self-profile from the recorded spans. Budget: 25 ms.
 //!
 //! Like the other bench gates, `JPORTAL_BENCH_GATE=1` turns a breach
 //! into a hard failure for CI, and the overhead check requires BOTH

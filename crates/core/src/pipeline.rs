@@ -18,8 +18,7 @@ use jportal_corpus::{Corpus, CorpusBuilder};
 use jportal_ipt::{CollectedTraces, CollectionStats, LossRecord, ThreadId};
 use jportal_jvm::MetadataArchive;
 use jportal_obs::{
-    Determinism, Gauge, JournalEvent, Obs, ProfileConfig, Profiler, Sketch, TelemetryConfig,
-    TelemetryPlane, TelemetryReport,
+    Determinism, Gauge, JournalEvent, Obs, Sketch, TelemetryConfig, TelemetryPlane, TelemetryReport,
 };
 use std::cell::RefCell;
 use std::ops::Range;
@@ -88,21 +87,10 @@ pub struct JPortalConfig {
     /// byte-identical to a build without the feature. `Some` implies an
     /// enabled recording handle even when
     /// [`JPortalConfig::observability`] is off (live telemetry without
-    /// instruments would publish empty snapshots).
+    /// instruments would publish empty snapshots). The plane also
+    /// serves the self-profile folded from the recorded spans (see
+    /// `jportal_obs::profile`).
     pub telemetry: Option<TelemetryConfig>,
-    /// Continuous self-profiling (see `jportal_obs::profile`): a
-    /// background sampler snapshots every worker's span stack through a
-    /// seqlock — the workers never block — and folds the samples into a
-    /// weighted stack profile served as folded stacks, a flamegraph SVG
-    /// and pprof-style JSON alongside `/metrics.json` when a telemetry
-    /// plane is attached. `None` (the default) adds **nothing** beyond
-    /// one relaxed load per span open; `Some` implies an enabled
-    /// recording handle like [`JPortalConfig::telemetry`]. Reports are
-    /// byte-identical with profiling on or off. With
-    /// [`ProfileConfig::deterministic`] set, sampling is driven by
-    /// plane-tick boundaries instead of wall time, so the folded
-    /// profile is identical at any worker count.
-    pub profiling: Option<ProfileConfig>,
 }
 
 impl Default for JPortalConfig {
@@ -118,7 +106,6 @@ impl Default for JPortalConfig {
             parallelism: None,
             observability: true,
             telemetry: None,
-            profiling: None,
         }
     }
 }
@@ -255,10 +242,6 @@ pub struct JPortal<'p> {
     /// Live telemetry plane, present only when
     /// [`JPortalConfig::telemetry`] is on; ticked at stage boundaries.
     plane: Option<std::sync::Arc<TelemetryPlane>>,
-    /// Span-stack sampling profiler, present only when
-    /// [`JPortalConfig::profiling`] is on; stopped (sampler thread
-    /// joined) when the analyzer drops.
-    profiler: Option<std::sync::Arc<Profiler>>,
 }
 
 /// One harvested complete segment, ready for
@@ -285,18 +268,6 @@ struct Level1<'a, 'p> {
     par_metrics: jportal_par::ParMetrics,
 }
 
-/// Stops the sampler thread (and decrements the global profiling
-/// enable-count, so span opens stop pushing frames) when the analyzer
-/// goes away. Dropping mid-analysis is fine — workers only ever see the
-/// flag flip, never a dangling stack.
-impl Drop for JPortal<'_> {
-    fn drop(&mut self) {
-        if let Some(profiler) = &self.profiler {
-            profiler.stop();
-        }
-    }
-}
-
 impl<'p> JPortal<'p> {
     /// Builds the analyzer (constructs the program's ICFG over RTA-refined
     /// call targets, plus the per-method static-fact index).
@@ -315,18 +286,10 @@ impl<'p> JPortal<'p> {
         let summaries = config
             .summaries
             .then(|| SummaryTable::build(program, &icfg));
-        let obs = Obs::new(
-            config.observability || config.telemetry.is_some() || config.profiling.is_some(),
-        );
+        let obs = Obs::new(config.observability || config.telemetry.is_some());
         let plane = config
             .telemetry
             .map(|t| TelemetryPlane::new(obs.clone(), t));
-        let profiler = config.profiling.map(Profiler::start);
-        if let (Some(plane), Some(profiler)) = (&plane, &profiler) {
-            // Deterministic profiles sample at plane ticks; wall-clock
-            // profiles ride along so `/profile/*` can serve snapshots.
-            plane.attach_profiler(profiler.clone());
-        }
         JPortal {
             program,
             icfg,
@@ -335,7 +298,6 @@ impl<'p> JPortal<'p> {
             corpus: None,
             obs,
             plane,
-            profiler,
             config,
         }
     }
@@ -388,26 +350,10 @@ impl<'p> JPortal<'p> {
         self.plane.as_ref()
     }
 
-    /// The sampling profiler, when [`JPortalConfig::profiling`] is on.
-    /// `Profiler::snapshot` at any point gives the profile so far;
-    /// `ProfileSnapshot::folded_text` / `jportal_obs::flame_svg` render
-    /// it, and an attached telemetry plane serves it live.
-    pub fn profiler(&self) -> Option<&std::sync::Arc<Profiler>> {
-        self.profiler.as_ref()
-    }
-
     /// One stage-boundary tick of the live plane (no-op without one).
-    /// In deterministic profiling mode the stage boundary *is* the
-    /// sample point: with a plane attached the plane's tick samples
-    /// (keeping sample indices aligned with published snapshot
-    /// sequence numbers), otherwise the profiler samples here directly.
     fn tick_stage(&self) {
         if let Some(p) = &self.plane {
             p.tick_stage();
-        } else if let Some(pr) = &self.profiler {
-            if pr.config().deterministic {
-                pr.sample_now();
-            }
         }
     }
 
@@ -466,12 +412,16 @@ impl<'p> JPortal<'p> {
             .record_sketch(&obs.registry().sketch("core.analyze.wall_us"));
         let workers = jportal_par::effective_workers(self.config.parallelism);
         let anfa = AbstractNfa::with_metrics(self.program, &self.icfg, obs.registry());
-        if workers > 1 {
-            // One up-front pass fills the ANFA closure caches so the
-            // projection workers start hot instead of racing to compute
-            // the same entries.
-            let _prewarm = obs.span("pipeline", "prewarm").arg("workers", workers);
-            anfa.prewarm(workers);
+        {
+            // The span opens at every worker count, so the span tree does
+            // not depend on it.
+            let _prewarm = obs.span("pipeline", "prewarm");
+            if workers > 1 {
+                // One up-front pass fills the ANFA closure caches so the
+                // projection workers start hot instead of racing to
+                // compute the same entries.
+                anfa.prewarm(workers);
+            }
         }
 
         // Collection-side telemetry: what the online component exported

@@ -90,19 +90,6 @@ fn exact_metrics(t: &TelemetryReport) -> BTreeMap<String, Vec<u64>> {
     exact_view(&t.metrics, &[])
 }
 
-/// Sorted timing-free span structure, minus the `prewarm` span that by
-/// design only exists when workers > 1.
-fn span_structure(t: &TelemetryReport) -> Vec<String> {
-    let mut v: Vec<String> = t
-        .spans
-        .iter()
-        .filter(|s| s.name != "prewarm")
-        .map(|s| s.structure())
-        .collect();
-    v.sort();
-    v
-}
-
 #[test]
 fn counters_and_span_tree_match_across_parallelism() {
     let p = workload();
@@ -123,8 +110,8 @@ fn counters_and_span_tree_match_across_parallelism() {
         "every Exact instrument must read the same at any worker count"
     );
     assert_eq!(
-        span_structure(&tel_seq),
-        span_structure(&tel_par),
+        tel_seq.span_structure(),
+        tel_par.span_structure(),
         "span categories, names, parents and args must be identical"
     );
 
@@ -144,12 +131,14 @@ fn counters_and_span_tree_match_across_parallelism() {
     // tree has the per-stage spans hanging off the pipeline root.
     let holes = tel_seq.metrics.counter("core.recover.holes").unwrap();
     assert!(holes > 0, "lossy run must produce holes");
-    let fills = span_structure(&tel_seq)
+    let fills = tel_seq
+        .span_structure()
         .iter()
         .filter(|s| s.contains("recover/assemble_thread/fill_hole"))
         .count();
     assert_eq!(fills as u64, holes, "one fill span per hole");
-    assert!(span_structure(&tel_seq)
+    assert!(tel_seq
+        .span_structure()
         .iter()
         .any(|s| s.starts_with("decode/analyze/decode_segment")));
 }

@@ -175,30 +175,6 @@ impl TelemetryReport {
 /// buckets: [[index, n], ..]}}}`, all keys sorted. Always valid per the
 /// strict `obs::json` validator.
 pub fn metrics_snapshot_json(metrics: &MetricsSnapshot) -> String {
-    metrics_snapshot_json_with_profile(metrics, None)
-}
-
-/// [`metrics_snapshot_json`] plus an optional `"profile"` section
-/// holding a pprof-like sample dump (see
-/// [`crate::profile::ProfileSnapshot::json_object`]). With `None` the
-/// output is byte-identical to the plain snapshot, so existing
-/// consumers never see the extra key unless a profiler is attached.
-pub fn metrics_snapshot_json_with_profile(
-    metrics: &MetricsSnapshot,
-    profile: Option<&crate::profile::ProfileSnapshot>,
-) -> String {
-    let mut out = metrics_snapshot_json_inner(metrics);
-    if let Some(p) = profile {
-        // Splice before the closing brace of the document object.
-        out.pop();
-        out.push_str(",\"profile\":");
-        out.push_str(&p.json_object());
-        out.push('}');
-    }
-    out
-}
-
-fn metrics_snapshot_json_inner(metrics: &MetricsSnapshot) -> String {
     let mut out = String::from("{\"counters\":{");
     for (i, (name, v)) in metrics.counters.iter().enumerate() {
         if i > 0 {
@@ -241,6 +217,22 @@ fn metrics_snapshot_json_inner(metrics: &MetricsSnapshot) -> String {
         out.push_str("]}");
     }
     out.push_str("}}");
+    out
+}
+
+/// [`metrics_snapshot_json`] plus a `"profile"` section (see
+/// [`crate::profile::ProfileSnapshot::json_object`]), as `/metrics.json`
+/// serves it.
+pub fn metrics_snapshot_json_with_profile(
+    metrics: &MetricsSnapshot,
+    profile: &crate::profile::ProfileSnapshot,
+) -> String {
+    let mut out = metrics_snapshot_json(metrics);
+    // Splice before the closing brace of the document object.
+    out.pop();
+    out.push_str(",\"profile\":");
+    out.push_str(&profile.json_object());
+    out.push('}');
     out
 }
 
@@ -330,6 +322,7 @@ mod tests {
                     ],
                     ts_us: 10,
                     dur_us: 5,
+                    self_us: 5,
                     tid: 1,
                     sim: false,
                 },
@@ -340,6 +333,7 @@ mod tests {
                     args: vec![("core", ArgValue::Int(0))],
                     ts_us: 100,
                     dur_us: 50,
+                    self_us: 50,
                     tid: 0,
                     sim: true,
                 },

@@ -2,10 +2,10 @@
 //!
 //! No external crates, no JavaScript: plain nested `<rect>`/`<text>`
 //! elements with a `<title>` child per frame so browsers show the
-//! frame label and weight on hover. Layout and colors are fully
-//! deterministic — children sort by label and hues derive from a hash
-//! of the frame's category — so equal profiles render byte-identical
-//! SVGs.
+//! frame label and weight (µs of self time, or spans) on hover. Layout
+//! and colors are fully deterministic — children sort by label and hues
+//! derive from a hash of the frame's category — so equal profiles
+//! render byte-identical SVGs.
 
 use crate::profile::ProfileSnapshot;
 use std::collections::BTreeMap;
@@ -76,28 +76,37 @@ fn frame_color(label: &str) -> String {
     format!("rgb({},{},{})", r.min(255), g.min(255), b.min(255))
 }
 
+/// What every rect's width and title derive from.
+struct Scale<'a> {
+    /// Pixels per unit of weight.
+    px: f64,
+    /// The whole profile's weight.
+    total: u64,
+    /// What a weight counts ([`ProfileSnapshot::unit`]).
+    unit: &'a str,
+}
+
 fn render_node(
     out: &mut String,
     label: Option<&str>,
     node: &Node,
     x: f64,
     depth: usize,
-    unit: f64,
-    total: u64,
+    scale: &Scale,
 ) {
-    let w = node.total as f64 * unit;
+    let w = node.total as f64 * scale.px;
     if let Some(label) = label {
         let y = PAD + depth as f64 * ROW_H;
-        let pct = 100.0 * node.total as f64 / total.max(1) as f64;
+        let pct = 100.0 * node.total as f64 / scale.total.max(1) as f64;
         let esc = escape_xml(label);
         let row_h = ROW_H - 1.0;
         let color = frame_color(label);
         let _ = write!(
             out,
-            "<g><title>{esc} ({} samples, {pct:.2}%)</title>\
+            "<g><title>{esc} ({} {}, {pct:.2}%)</title>\
              <rect x=\"{x:.2}\" y=\"{y:.2}\" width=\"{w:.2}\" height=\"{row_h:.2}\" \
              fill=\"{color}\" rx=\"2\" stroke=\"white\" stroke-width=\"0.5\"/>",
-            node.total,
+            node.total, scale.unit,
         );
         if w >= MIN_LABEL_W {
             // Budget ~7 px per glyph; ellipsize what does not fit.
@@ -120,8 +129,8 @@ fn render_node(
     }
     let mut cx = x;
     for (child_label, child) in &node.children {
-        render_node(out, Some(child_label), child, cx, depth + 1, unit, total);
-        cx += child.total as f64 * unit;
+        render_node(out, Some(child_label), child, cx, depth + 1, scale);
+        cx += child.total as f64 * scale.px;
     }
 }
 
@@ -146,14 +155,18 @@ pub fn flame_svg(snap: &ProfileSnapshot) -> String {
         let _ = write!(
             out,
             "<text x=\"{:.0}\" y=\"{:.0}\" font-size=\"14\" font-family=\"monospace\" \
-             fill=\"#555\">no samples recorded yet</text>",
+             fill=\"#555\">no spans recorded yet</text>",
             PAD,
             PAD + 20.0,
         );
     } else {
-        let unit = (WIDTH - 2.0 * PAD) / root.total as f64;
+        let scale = Scale {
+            px: (WIDTH - 2.0 * PAD) / root.total as f64,
+            total: root.total,
+            unit: snap.unit(),
+        };
         // Root row spans the full profile.
-        let virtual_root = format!("all ({} samples)", root.total);
+        let virtual_root = format!("all ({} {})", root.total, snap.unit());
         let y = PAD;
         let _ = write!(
             out,
@@ -168,19 +181,17 @@ pub fn flame_svg(snap: &ProfileSnapshot) -> String {
             y + ROW_H - 5.0,
             escape_xml(&virtual_root),
         );
-        render_node(&mut out, None, &root, PAD, 0, unit, root.total);
+        render_node(&mut out, None, &root, PAD, 0, &scale);
     }
     let _ = write!(
         out,
         "<text x=\"{:.0}\" y=\"{height:.0}\" font-size=\"11\" font-family=\"monospace\" \
-         fill=\"#777\" dy=\"-6\">jportal self-profile · {} samples · {} Hz{}</text></svg>",
+         fill=\"#777\" dy=\"-6\">jportal self-profile · {}</text></svg>",
         PAD,
-        snap.samples,
-        snap.hz,
         if snap.deterministic {
-            " · deterministic"
+            format!("{} spans · deterministic", root.total)
         } else {
-            ""
+            format!("{} µs of self time", root.total)
         },
     );
     out
@@ -192,8 +203,7 @@ mod tests {
 
     fn sample_snapshot() -> ProfileSnapshot {
         ProfileSnapshot {
-            hz: 997,
-            samples: 7,
+            deterministic: false,
             stacks: vec![
                 (vec!["pipeline:analyze".into()], 1),
                 (
@@ -205,7 +215,6 @@ mod tests {
                     2,
                 ),
             ],
-            ..ProfileSnapshot::default()
         }
     }
 
@@ -227,21 +236,28 @@ mod tests {
         let a = flame_svg(&sample_snapshot());
         let b = flame_svg(&sample_snapshot());
         assert_eq!(a, b);
-        // The 4-sample decode frame must be wider than the 2-sample
-        // recover frame: compare the rect widths by their titles.
+        // The 4 µs decode frame must be wider than the 2 µs recover
+        // frame: compare the rect widths by their titles.
         let width_of = |frag: &str| -> f64 {
             let at = a.find(frag).unwrap();
             let rect = &a[at..];
             let w = rect.split("width=\"").nth(1).unwrap();
             w.split('"').next().unwrap().parse().unwrap()
         };
-        assert!(width_of("decode:decode_segment (4 samples") > width_of("recover:fill") * 1.5);
+        assert!(width_of("decode:decode_segment (4 µs") > width_of("recover:fill") * 1.5);
+        assert!(a.contains("jportal self-profile · 7 µs of self time</text>"));
+        let counted = flame_svg(&ProfileSnapshot {
+            deterministic: true,
+            ..sample_snapshot()
+        });
+        assert!(counted.contains("decode:decode_segment (4 spans"));
+        assert!(counted.contains("jportal self-profile · 7 spans · deterministic</text>"));
     }
 
     #[test]
     fn empty_profile_renders_placeholder() {
         let svg = flame_svg(&ProfileSnapshot::default());
-        assert!(svg.contains("no samples recorded yet"));
+        assert!(svg.contains("no spans recorded yet"));
         assert!(svg.ends_with("</svg>"));
     }
 }

@@ -13,7 +13,8 @@
 //!   deterministically;
 //! * exporters ([`TelemetryReport`]): Chrome trace-event JSON (loadable
 //!   in `chrome://tracing` / Perfetto), a flat JSON metrics snapshot and
-//!   a human-readable summary table.
+//!   a human-readable summary table; and a self-profile folded from the
+//!   spans ([`Obs::profile`]).
 //!
 //! Everything hangs off an [`Obs`] handle (a cheap `Arc` clone). A
 //! disabled handle's instruments are no-ops whose fast path is a single
@@ -36,6 +37,7 @@
 //! assert!(report.chrome_trace_json().contains("\"cat\":\"decode\""));
 //! ```
 
+pub mod contention;
 pub mod export;
 pub mod flame;
 pub mod journal;
@@ -48,6 +50,7 @@ pub mod serve;
 pub mod sketch;
 pub mod span;
 
+pub use contention::ContentionCounter;
 pub use export::{
     metrics_snapshot_json, metrics_snapshot_json_with_profile, prometheus_text, TelemetryReport,
 };
@@ -58,7 +61,7 @@ pub use journal::{
 };
 pub use metrics::{exact_view, Counter, Determinism, Gauge, MetricsRegistry, MetricsSnapshot};
 pub use plane::{PlaneSnapshot, TelemetryConfig, TelemetryPlane};
-pub use profile::{ContentionCounter, ProfileConfig, ProfileSnapshot, Profiler, PROFILE_MAX_DEPTH};
+pub use profile::ProfileSnapshot;
 pub use series::{Series, SeriesPoint, SeriesStore};
 pub use serve::{
     http_get, parse_request, sse_frame, sse_keepalive_frame, HttpResponse, Request, TelemetryServer,
@@ -154,6 +157,7 @@ impl Obs {
             args,
             ts_us: ts,
             dur_us: dur,
+            self_us: dur,
             tid: lane,
             sim: true,
         });
@@ -179,6 +183,13 @@ impl Obs {
     /// Deterministic snapshot of the decision journal.
     pub fn journal_snapshot(&self) -> JournalSnapshot {
         self.0.journal.snapshot()
+    }
+
+    /// The self-profile so far: every wall span folded into its logical
+    /// stack, weighted by self time, or by span count when
+    /// `deterministic` (see [`profile`]).
+    pub fn profile(&self, deterministic: bool) -> ProfileSnapshot {
+        profile::fold(&self.0.spans, deterministic)
     }
 
     /// Snapshot of everything recorded so far: metrics plus

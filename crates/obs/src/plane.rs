@@ -28,8 +28,8 @@
 //!   deterministic workload the entire stored series is bit-for-bit
 //!   reproducible — the contract the determinism tests pin.
 
+use crate::contention::ContentionCounter;
 use crate::metrics::MetricsSnapshot;
-use crate::profile::{ContentionCounter, Profiler};
 use crate::series::{Series, SeriesStore};
 use crate::Obs;
 use std::sync::{Arc, Condvar, Mutex};
@@ -47,7 +47,9 @@ pub struct TelemetryConfig {
     /// Minimum simulation-cycle distance between accepted sim ticks.
     pub sim_tick_interval: u64,
     /// Stamp ticks with their logical index instead of wall µs, making
-    /// stored series reproducible across runs and worker counts.
+    /// stored series reproducible across runs and worker counts. Also
+    /// weights the served self-profile by span count instead of self
+    /// time, which makes it reproducible the same way.
     pub deterministic: bool,
 }
 
@@ -107,10 +109,6 @@ pub struct TelemetryPlane {
     /// Contention accounting for the publish pointer-swap lock
     /// (`lock.obs.plane.publish.*`).
     publish_cc: ContentionCounter,
-    /// Attached self-profiler, if any; a deterministic one is sampled
-    /// at every accepted tick, and the serve layer exposes it under
-    /// `/profile/*`.
-    profiler: Mutex<Option<Arc<Profiler>>>,
 }
 
 impl TelemetryPlane {
@@ -131,19 +129,7 @@ impl TelemetryPlane {
             changed: Condvar::new(),
             producer_cc,
             publish_cc,
-            profiler: Mutex::new(None),
         })
-    }
-
-    /// Attaches a self-profiler: deterministic profilers get sampled at
-    /// every accepted tick, and `/profile/*` endpoints start serving.
-    pub fn attach_profiler(&self, profiler: Arc<Profiler>) {
-        *self.profiler.lock().unwrap() = Some(profiler);
-    }
-
-    /// The attached self-profiler, if any.
-    pub fn profiler(&self) -> Option<Arc<Profiler>> {
-        self.profiler.lock().unwrap().clone()
     }
 
     /// The recording handle whose instruments feed this plane.
@@ -182,14 +168,6 @@ impl TelemetryPlane {
     }
 
     fn tick_locked(&self, p: &mut PlaneProducer) {
-        // Logical-tick-driven sampling: a deterministic profiler takes
-        // one sample of the ticking thread's span stack per accepted
-        // tick, making the profile a pure function of the tick stream.
-        if let Some(profiler) = &*self.profiler.lock().unwrap() {
-            if profiler.config().deterministic {
-                profiler.sample_now();
-            }
-        }
         let stamp = if self.cfg.deterministic {
             p.store.ticks()
         } else {

@@ -2,24 +2,28 @@
 //! `std::net::TcpListener` and nothing else, matching the workspace's
 //! zero-external-dependency posture.
 //!
-//! Four endpoints, all served from published [`PlaneSnapshot`]s
+//! Six endpoints. The first four serve published [`PlaneSnapshot`]s
 //! (consumers clone an `Arc`, never read a live instrument, so a slow
 //! or stuck scraper cannot block the pipeline):
 //!
 //! | path                 | body                                             |
 //! |----------------------|--------------------------------------------------|
 //! | `/metrics`           | Prometheus text exposition (version 0.0.4)       |
-//! | `/metrics.json`      | flat metrics JSON (strict RFC 8259); includes a  |
-//! |                      | `"profile"` section when a profiler is attached  |
+//! | `/metrics.json`      | flat metrics JSON (strict RFC 8259) with a       |
+//! |                      | `"profile"` section                              |
 //! | `/series`            | `{"names": [..]}`; `?name=<q>` → one window      |
 //! | `/stream`            | SSE, one `snapshot` event per accepted tick,     |
 //! |                      | `: keep-alive` comments while the plane is idle  |
 //! | `/profile/folded`    | flamegraph.pl-compatible folded stacks           |
 //! | `/profile/flame.svg` | in-tree SVG flamegraph                           |
 //!
+//! The three profile documents fold the plane's recorded spans on each
+//! request (`Obs::profile`), weighted by span count when the plane is
+//! deterministic and by self time otherwise.
+//!
 //! Error responses are uniformly strict-JSON `{"error": "..."}` bodies
 //! with the matching 4xx status (400 malformed head, 405 non-GET, 404
-//! unknown path/series/profile, 431 oversized request head).
+//! unknown path/series, 431 oversized request head).
 //!
 //! The listener serves each connection on its own thread and answers
 //! every request with `Connection: close` — scrape traffic is one
@@ -227,6 +231,10 @@ fn handle_connection(shared: &ServeShared, mut stream: TcpStream) {
         return;
     }
     let snap = shared.plane.latest();
+    let profile = || {
+        let plane = &shared.plane;
+        plane.obs().profile(plane.config().deterministic)
+    };
     match req.path.as_str() {
         "/metrics" => write_response(
             &mut stream,
@@ -234,43 +242,24 @@ fn handle_connection(shared: &ServeShared, mut stream: TcpStream) {
             "text/plain; version=0.0.4; charset=utf-8",
             &prometheus_text(&snap.metrics),
         ),
-        "/metrics.json" => {
-            let profile = shared.plane.profiler().map(|p| p.snapshot());
-            write_response(
-                &mut stream,
-                "200 OK",
-                "application/json",
-                &metrics_snapshot_json_with_profile(&snap.metrics, profile.as_ref()),
-            );
-        }
-        "/profile/folded" => match shared.plane.profiler() {
-            Some(p) => write_response(
-                &mut stream,
-                "200 OK",
-                "text/plain; charset=utf-8",
-                &p.snapshot().folded_text(),
-            ),
-            None => write_response(
-                &mut stream,
-                "404 Not Found",
-                "application/json",
-                "{\"error\":\"no profiler attached\"}",
-            ),
-        },
-        "/profile/flame.svg" => match shared.plane.profiler() {
-            Some(p) => write_response(
-                &mut stream,
-                "200 OK",
-                "image/svg+xml",
-                &flame_svg(&p.snapshot()),
-            ),
-            None => write_response(
-                &mut stream,
-                "404 Not Found",
-                "application/json",
-                "{\"error\":\"no profiler attached\"}",
-            ),
-        },
+        "/metrics.json" => write_response(
+            &mut stream,
+            "200 OK",
+            "application/json",
+            &metrics_snapshot_json_with_profile(&snap.metrics, &profile()),
+        ),
+        "/profile/folded" => write_response(
+            &mut stream,
+            "200 OK",
+            "text/plain; charset=utf-8",
+            &profile().folded_text(),
+        ),
+        "/profile/flame.svg" => write_response(
+            &mut stream,
+            "200 OK",
+            "image/svg+xml",
+            &flame_svg(&profile()),
+        ),
         "/series" => match req.param("name") {
             None => {
                 let mut body = String::from("{\"names\":[");

@@ -13,13 +13,17 @@
 //! explicitly ([`SpanBuilderExt::parent`]) so the recorded tree is
 //! identical whether the stage ran inline or on worker threads. Timing
 //! fields are the only scheduling-dependent data in an event.
+//!
+//! Each event also carries its **self time**: its duration minus the
+//! durations of the spans that closed inside it on the same thread.
+//! `Obs::profile` folds those into weighted stacks.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use crate::profile::ContentionCounter;
+use crate::contention::ContentionCounter;
 use crate::sketch::Sketch;
 
 /// A span argument value.
@@ -92,6 +96,10 @@ pub struct SpanEvent {
     pub ts_us: u64,
     /// Duration in the same unit as [`SpanEvent::ts_us`].
     pub dur_us: u64,
+    /// Self time: [`SpanEvent::dur_us`] minus the durations of the spans
+    /// that closed inside this one on the same thread (saturating).
+    /// Equal to `dur_us` for simulated-time events.
+    pub self_us: u64,
     /// Track: the recording OS thread's stable id (wall spans) or a
     /// caller-chosen lane (simulated spans).
     pub tid: u32,
@@ -136,9 +144,10 @@ fn thread_track() -> u32 {
 }
 
 thread_local! {
-    /// Innermost-open-span stack of the current thread (names only; the
-    /// default parent of a new span).
-    static SPAN_STACK: RefCell<Vec<&'static str>> = const { RefCell::new(Vec::new()) };
+    /// Open spans of the current thread, innermost last: each one's name
+    /// (the default parent of a new span) and the summed durations of
+    /// the spans that have closed inside it so far.
+    static SPAN_STACK: RefCell<Vec<(&'static str, u64)>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Collects finished spans from all threads.
@@ -193,12 +202,17 @@ impl SpanCollector {
         for shard in &self.shards {
             all.extend(self.contention.lock(shard).iter().cloned());
         }
-        all.sort_by(|a, b| {
-            a.structure()
-                .cmp(&b.structure())
-                .then(a.ts_us.cmp(&b.ts_us))
-        });
+        // Stable: equal keys keep their shard order.
+        all.sort_by_cached_key(|e| (e.structure(), e.ts_us));
         all
+    }
+
+    /// Calls `f` on every recorded event, locking each shard once; no
+    /// clone, no sort, so the visit order is unspecified.
+    pub(crate) fn for_each(&self, mut f: impl FnMut(&SpanEvent)) {
+        for shard in &self.shards {
+            self.contention.lock(shard).iter().for_each(&mut f);
+        }
     }
 
     /// Number of recorded events.
@@ -244,9 +258,6 @@ pub struct SpanGuard<'c> {
     start_us: u64,
     /// Optional quantile sketch receiving the duration in µs on drop.
     dur_sketch: Option<Sketch>,
-    /// `true` when this span was pushed onto the thread's profiler
-    /// [`crate::profile::ActiveStack`]; the drop must pop it back off.
-    profiled: bool,
 }
 
 impl<'c> SpanGuard<'c> {
@@ -261,7 +272,6 @@ impl<'c> SpanGuard<'c> {
             start: None,
             start_us: 0,
             dur_sketch: None,
-            profiled: false,
         }
     }
 
@@ -274,16 +284,10 @@ impl<'c> SpanGuard<'c> {
     ) -> SpanGuard<'c> {
         let parent = SPAN_STACK.with(|s| {
             let mut s = s.borrow_mut();
-            let parent = s.last().copied();
-            s.push(name);
+            let parent = s.last().map(|&(name, _)| name);
+            s.push((name, 0));
             parent
         });
-        // Maintain the sampler-visible active stack only while a
-        // profiler is live: one relaxed load otherwise.
-        let profiled = crate::profile::profiling_active();
-        if profiled {
-            crate::profile::stack_push(cat, name);
-        }
         SpanGuard {
             collector: Some(collector),
             cat,
@@ -293,7 +297,6 @@ impl<'c> SpanGuard<'c> {
             start: Some(Instant::now()),
             start_us: collector.now_us(),
             dur_sketch: None,
-            profiled,
         }
     }
 
@@ -330,18 +333,19 @@ impl Drop for SpanGuard<'_> {
         let Some(collector) = self.collector else {
             return;
         };
-        SPAN_STACK.with(|s| {
-            let mut s = s.borrow_mut();
-            debug_assert_eq!(s.last().copied(), Some(self.name), "spans drop LIFO");
-            s.pop();
-        });
-        if self.profiled {
-            crate::profile::stack_pop();
-        }
         let dur_us = self
             .start
             .map(|t| t.elapsed().as_micros() as u64)
             .unwrap_or(0);
+        let child_us = SPAN_STACK.with(|s| {
+            let mut s = s.borrow_mut();
+            let (name, child_us) = s.pop().unwrap_or_default();
+            debug_assert_eq!(name, self.name, "spans drop LIFO");
+            if let Some((_, enclosing)) = s.last_mut() {
+                *enclosing += dur_us;
+            }
+            child_us
+        });
         if let Some(s) = &self.dur_sketch {
             s.record(dur_us);
         }
@@ -352,6 +356,7 @@ impl Drop for SpanGuard<'_> {
             args: std::mem::take(&mut self.args),
             ts_us: self.start_us,
             dur_us,
+            self_us: dur_us.saturating_sub(child_us),
             tid: thread_track(),
             sim: false,
         });

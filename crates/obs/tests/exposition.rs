@@ -5,7 +5,7 @@
 
 use jportal_obs::json::{self, Value};
 use jportal_obs::{
-    http_get, metrics_snapshot_json, prometheus_text, sse_frame, sse_keepalive_frame,
+    http_get, metrics_snapshot_json_with_profile, prometheus_text, sse_frame, sse_keepalive_frame,
     MetricsRegistry, Obs, TelemetryConfig, TelemetryPlane, TelemetryServer,
 };
 use std::io::{Read, Write};
@@ -138,13 +138,6 @@ fn error_paths_return_json_4xx() {
     assert_eq!(r.status, 404);
     json::validate(&r.body).expect("404 body is strict JSON");
 
-    // No profiler attached: profile routes 404 rather than serving an
-    // empty document.
-    for route in ["/profile/folded", "/profile/flame.svg"] {
-        let r = http_get(&format!("http://{addr}{route}")).unwrap();
-        assert_eq!(r.status, 404, "{route} without a profiler");
-    }
-
     // POST is not allowed anywhere.
     let (status, body) = raw_request(
         &addr,
@@ -165,6 +158,37 @@ fn error_paths_return_json_4xx() {
     let (status, body) = raw_request(&addr, "nonsense\r\n\r\n");
     assert_error(&status, &body, "400");
 
+    server.shutdown();
+}
+
+/// The profile routes fold whatever spans the plane's handle holds, so
+/// before the first span they serve an empty profile, not an error.
+#[test]
+fn profile_routes_serve_an_empty_profile_before_any_span() {
+    let plane = TelemetryPlane::new(
+        Obs::new(true),
+        TelemetryConfig {
+            deterministic: true,
+            ..TelemetryConfig::default()
+        },
+    );
+    let server = TelemetryServer::bind(Arc::clone(&plane), "127.0.0.1:0").unwrap();
+    let url = server.url();
+
+    let folded = http_get(&format!("{url}/profile/folded")).unwrap();
+    assert_eq!(folded.status, 200);
+    assert_eq!(folded.body, "");
+    let svg = http_get(&format!("{url}/profile/flame.svg")).unwrap();
+    assert_eq!(svg.status, 200);
+    assert!(svg.body.starts_with("<svg ") && svg.body.ends_with("</svg>"));
+    assert!(svg.body.contains("no spans recorded yet"), "{}", svg.body);
+
+    {
+        let _s = plane.obs().span("pipeline", "analyze");
+    }
+    let folded = http_get(&format!("{url}/profile/folded")).unwrap();
+    assert_eq!(folded.status, 200);
+    assert_eq!(folded.body, "pipeline:analyze 1\n");
     server.shutdown();
 }
 
@@ -254,7 +278,10 @@ fn loopback_scrape_while_producing() {
     assert_eq!(prom.body, prometheus_text(&snap.metrics));
 
     let mj = http_get(&format!("{url}/metrics.json")).unwrap();
-    assert_eq!(mj.body, metrics_snapshot_json(&snap.metrics));
+    assert_eq!(
+        mj.body,
+        metrics_snapshot_json_with_profile(&snap.metrics, &obs.profile(true))
+    );
 
     let names = http_get(&format!("{url}/series")).unwrap();
     assert!(names.body.contains("\"counter.work.items\""));

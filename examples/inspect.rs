@@ -397,9 +397,10 @@ fn telemetry(source: &str, check: bool) -> Result<(), String> {
 /// `profile <url-or-file>`: render the hottest span stacks of a folded
 /// profile — from a live `/profile/folded` endpoint (a bare base URL
 /// gets the path appended, and the contention table is pulled from
-/// `/metrics.json` alongside) or from a folded-stacks text file. With
-/// `--check`, additionally asserts the folded grammar, positive stack
-/// weights, and contention-counter consistency.
+/// `/metrics.json` alongside) or from a folded-stacks text file. A
+/// stack's weight is µs of self time, or a span count when the plane is
+/// deterministic. With `--check`, additionally asserts the folded
+/// grammar, positive stack weights, and contention-counter consistency.
 fn profile(source: &str, check: bool, top_n: usize) -> Result<(), String> {
     let (folded, metrics) = if let Some(rest) = source.strip_prefix("http://") {
         let base_only = !rest.contains('/');
@@ -437,7 +438,7 @@ fn profile(source: &str, check: bool, top_n: usize) -> Result<(), String> {
     stacks.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
 
     println!("=== {source} ===");
-    println!("{} samples over {} distinct stacks", total, stacks.len());
+    println!("weight {} over {} distinct stacks", total, stacks.len());
     if !stacks.is_empty() {
         println!("hottest stacks (top {top_n}):");
         for (stack, count) in stacks.iter().take(top_n) {
@@ -498,9 +499,7 @@ fn profile(source: &str, check: bool, top_n: usize) -> Result<(), String> {
             }
         }
         if check && !matches!(doc.get("profile"), Some(Value::Obj(_))) {
-            return Err(format!(
-                "{source}: /metrics.json has no profile section while profiling"
-            ));
+            return Err(format!("{source}: /metrics.json has no profile section"));
         }
     }
 

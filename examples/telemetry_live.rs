@@ -1,13 +1,15 @@
 //! `jportal telemetry_live` — run a seed workload in a loop with the
 //! live telemetry plane enabled and serve it over the in-tree scrape
-//! endpoint, so a real client (curl, Prometheus, `jportal-inspect
-//! telemetry`) can watch the pipeline work:
+//! endpoint, so a real client (curl, Prometheus, a browser,
+//! `jportal-inspect telemetry` or `jportal-inspect profile`) can watch
+//! the pipeline work and see where its time goes:
 //!
 //! ```sh
 //! cargo run --release --example telemetry_live                # luindex, forever
 //! cargo run --release --example telemetry_live -- sunflow --iters 50
 //! cargo run --release --example telemetry_live -- --check     # CI loopback gate
 //! curl http://127.0.0.1:<port>/metrics                        # while it runs
+//! curl http://127.0.0.1:<port>/profile/folded                 # self-profile
 //! ```
 //!
 //! `--check` replays every seed workload under a deterministic plane,
@@ -70,9 +72,11 @@ fn live(name: &str, iters: Option<u64>) -> Result<(), String> {
     let url = server.url();
     println!("live telemetry for {:?} at {url}", w.name);
     println!("  {url}/metrics        Prometheus text exposition");
-    println!("  {url}/metrics.json   flat metrics JSON");
+    println!("  {url}/metrics.json   flat metrics JSON with the profile section");
     println!("  {url}/series         series names; ?name=<q> for one window");
     println!("  {url}/stream         SSE, one snapshot event per tick");
+    println!("  {url}/profile/folded     self-profile as folded stacks (µs of self time)");
+    println!("  {url}/profile/flame.svg  self-profile flamegraph (open in a browser)");
     let mut i = 0u64;
     loop {
         let r = run_jvm(&w, &plane);

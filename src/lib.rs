@@ -8,8 +8,10 @@
 //!
 //! Build the analyzer with `JPortalConfig { telemetry: Some(..), .. }`,
 //! bind a [`TelemetryServer`] on its plane, and scrape `/metrics`,
-//! `/metrics.json`, `/series?name=..` or `/stream` while analyses run
-//! (see DESIGN.md §17 and `examples/telemetry_live.rs`):
+//! `/metrics.json`, `/series?name=..` or `/stream` while analyses run,
+//! or `/profile/folded` and `/profile/flame.svg` for the self-profile
+//! folded from the pipeline's spans (see DESIGN.md §17–18 and
+//! `examples/telemetry_live.rs`):
 //!
 //! ```no_run
 //! use jportal::core::{JPortal, JPortalConfig};
@@ -40,6 +42,5 @@ pub use jportal_profilers as profilers;
 pub use jportal_workloads as workloads;
 
 pub use jportal_obs::{
-    ContentionCounter, ProfileConfig, ProfileSnapshot, Profiler, TelemetryConfig, TelemetryPlane,
-    TelemetryServer,
+    ContentionCounter, ProfileSnapshot, TelemetryConfig, TelemetryPlane, TelemetryServer,
 };

@@ -14,7 +14,6 @@
 
 use jportal::core::{JPortal, JPortalConfig, JPortalReport};
 use jportal::jvm::{JitConfig, Jvm, JvmConfig, RunResult};
-use jportal::obs::TelemetryReport;
 use jportal::workloads::{workload_by_name, Workload};
 
 const FIG7_BUFFER: usize = 2272;
@@ -48,7 +47,7 @@ struct Outcome {
     /// cache counters zeroed: covers quality and collection too.
     debug: String,
     journal: String,
-    /// See [`span_structure`].
+    /// See [`jportal::obs::TelemetryReport::span_structure`].
     spans: Vec<String>,
 }
 
@@ -70,21 +69,8 @@ fn analyze(w: &Workload, r: &RunResult, parallelism: usize, observability: bool)
         debug: format!("{zeroed:?}"),
         report,
         journal: snap.to_jsonl(),
-        spans: span_structure(&jp.telemetry()),
+        spans: jp.telemetry().span_structure(),
     }
-}
-
-/// Sorted timing-free span structure, minus the `prewarm` span that only
-/// exists with more than one worker.
-fn span_structure(t: &TelemetryReport) -> Vec<String> {
-    let mut v: Vec<String> = t
-        .spans
-        .iter()
-        .filter(|s| s.name != "prewarm")
-        .map(|s| s.structure())
-        .collect();
-    v.sort();
-    v
 }
 
 /// Analyzes `r` at one, two and four workers, and with observability off
