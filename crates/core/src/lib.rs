@@ -27,6 +27,7 @@
 
 pub mod accuracy;
 pub mod decode;
+pub mod pack;
 pub mod pipeline;
 pub mod profiles;
 pub mod quality;

@@ -1,8 +1,9 @@
 //! Packed symbol streams and the SWAR common-suffix kernel.
 //!
 //! Recovery's hot scoring loop is a backward scan comparing two symbol
-//! streams one [`Sym`] at a time (`tier_suffix`, Tier::Concrete). This
-//! module packs the streams so eight symbols are compared per step:
+//! streams one [`Sym`] at a time (`tier_suffix`, at each of the three
+//! tiers). This module packs the streams so eight symbols are compared
+//! per step:
 //!
 //! * **op bytes** — one byte per symbol ([`jportal_bytecode::OpKind`] is
 //!   `#[repr(u8)]`), eight per `u64`, little-endian within the word:
@@ -26,7 +27,7 @@ use jportal_cfg::{BranchDir, Sym};
 
 /// Two-bit encoding of a [`BranchDir`] for the packed dir lanes.
 #[inline]
-pub fn dir_code(dir: BranchDir) -> u8 {
+fn dir_code(dir: BranchDir) -> u8 {
     match dir {
         BranchDir::Unknown => 0,
         BranchDir::Taken => 1,
@@ -92,15 +93,15 @@ impl PackedSyms {
     }
 }
 
-/// Op byte at position `i` of a packed op arena slice.
+/// Op byte at position `i` of a packed op stream.
 #[inline]
-pub fn op_at(ops: &[u64], i: usize) -> u8 {
+fn op_at(ops: &[u64], i: usize) -> u8 {
     ((ops[i / 8] >> ((i % 8) * 8)) & 0xff) as u8
 }
 
-/// Dir code at position `i` of a packed dir arena slice.
+/// Dir code at position `i` of a packed dir stream.
 #[inline]
-pub fn dir_at(dirs: &[u64], i: usize) -> u8 {
+fn dir_at(dirs: &[u64], i: usize) -> u8 {
     ((dirs[i / 32] >> ((i % 32) * 2)) & 3) as u8
 }
 

@@ -13,8 +13,7 @@ use jportal_analysis::{
 };
 use jportal_bytecode::Program;
 use jportal_cfg::abs::{AbstractNfa, DfaCacheStats};
-use jportal_cfg::{Icfg, MatchScratch, Sym};
-use jportal_corpus::{Corpus, CorpusBuilder};
+use jportal_cfg::{Icfg, MatchScratch};
 use jportal_ipt::{CollectedTraces, CollectionStats, LossRecord, ThreadId};
 use jportal_jvm::MetadataArchive;
 use jportal_obs::{
@@ -59,13 +58,6 @@ pub struct JPortalConfig {
     /// checks run; reconstructed timelines and every statistic are
     /// identical with it on or off. Off is the legacy linter.
     pub summaries: bool,
-    /// Consult the persistent cross-run segment corpus (attached with
-    /// [`JPortal::with_corpus_store`]) as a secondary recovery source:
-    /// holes no in-run candidate can confirm are matched against the
-    /// corpus's sharded anchor index before degrading to the fallback
-    /// walk. Off by default — with the flag off (or no store attached)
-    /// reports are byte-identical to the corpus-less pipeline.
-    pub corpus: bool,
     /// Worker threads for the offline fan-out: `None` uses every core,
     /// `Some(1)` is the exact legacy sequential path (no threads spawned).
     ///
@@ -102,7 +94,6 @@ impl Default for JPortalConfig {
             devirtualize: true,
             lint: true,
             summaries: true,
-            corpus: false,
             parallelism: None,
             observability: true,
             telemetry: None,
@@ -233,9 +224,6 @@ pub struct JPortal<'p> {
     /// when [`JPortalConfig::summaries`] is off.
     summaries: Option<SummaryTable>,
     config: JPortalConfig,
-    /// Persistent cross-run segment corpus, shared read-only by every
-    /// worker; consulted only when [`JPortalConfig::corpus`] is on.
-    corpus: Option<std::sync::Arc<Corpus>>,
     /// Telemetry sink shared by every stage; inert when
     /// [`JPortalConfig::observability`] is off.
     obs: Obs,
@@ -243,11 +231,6 @@ pub struct JPortal<'p> {
     /// [`JPortalConfig::telemetry`] is on; ticked at stage boundaries.
     plane: Option<std::sync::Arc<TelemetryPlane>>,
 }
-
-/// One harvested complete segment, ready for
-/// [`jportal_corpus::CorpusBuilder::insert`]: symbols, packed
-/// `(method, bci)` locations, projection seams.
-type HarvestSeg = (Vec<Sym>, Vec<u64>, Vec<u32>);
 
 thread_local! {
     /// One `MatchScratch` per worker thread for a whole fan-out (workers
@@ -295,28 +278,10 @@ impl<'p> JPortal<'p> {
             icfg,
             analysis: AnalysisIndex::build(program),
             summaries,
-            corpus: None,
             obs,
             plane,
             config,
         }
-    }
-
-    /// Attaches a persistent segment corpus (see `jportal-corpus`).
-    /// Consulted during recovery only when [`JPortalConfig::corpus`] is
-    /// also on; the corpus must have been indexed with the same
-    /// `anchor_len` as [`JPortalConfig::recovery`] to contribute. A
-    /// corpus is program-version-specific: method ids and bytecode
-    /// indices are only meaningful against the program that produced
-    /// them.
-    pub fn with_corpus_store(mut self, corpus: std::sync::Arc<Corpus>) -> JPortal<'p> {
-        self.corpus = Some(corpus);
-        self
-    }
-
-    /// The attached corpus store, if any.
-    pub fn corpus_store(&self) -> Option<&std::sync::Arc<Corpus>> {
-        self.corpus.as_ref()
     }
 
     /// The ICFG (exposed for clients that want to inspect projections).
@@ -351,7 +316,10 @@ impl<'p> JPortal<'p> {
     }
 
     /// One stage-boundary tick of the live plane (no-op without one).
+    /// The span opens with or without a plane, so the span tree does not
+    /// depend on the configuration.
     fn tick_stage(&self) {
+        let _tick = self.obs.span("pipeline", "plane_tick");
         if let Some(p) = &self.plane {
             p.tick_stage();
         }
@@ -380,32 +348,6 @@ impl<'p> JPortal<'p> {
     /// segments). Results are reassembled in deterministic order at
     /// every join, so the report is identical for every worker count.
     pub fn analyze(&self, traces: &CollectedTraces, archive: &MetadataArchive) -> JPortalReport {
-        self.analyze_impl(traces, archive, None)
-    }
-
-    /// [`JPortal::analyze`] plus corpus harvesting: every decoded
-    /// complete segment of this run is inserted (dedup-aware) into
-    /// `builder` after analysis, so the caller can persist it for future
-    /// runs — the cross-run accumulation loop is load → analyze_harvest
-    /// → save. Harvesting reads the same per-thread segment data the
-    /// report is built from, in deterministic thread order after the
-    /// parallel joins, so the builder's contents are identical at any
-    /// worker count; the report itself is unchanged by harvesting.
-    pub fn analyze_harvest(
-        &self,
-        traces: &CollectedTraces,
-        archive: &MetadataArchive,
-        builder: &mut CorpusBuilder,
-    ) -> JPortalReport {
-        self.analyze_impl(traces, archive, Some(builder))
-    }
-
-    fn analyze_impl(
-        &self,
-        traces: &CollectedTraces,
-        archive: &MetadataArchive,
-        mut harvest: Option<&mut CorpusBuilder>,
-    ) -> JPortalReport {
         let obs = &self.obs;
         let _analyze = obs
             .span("pipeline", "analyze")
@@ -516,27 +458,17 @@ impl<'p> JPortal<'p> {
         // fills its holes sequentially to avoid oversubscription; with
         // few threads the idle workers fill holes in parallel.
         let inner_workers = if grouped.len() >= workers { 1 } else { workers };
-        let harvesting = harvest.is_some();
-        let assembled: Vec<(ThreadReport, ThreadQuality, Option<Vec<HarvestSeg>>)> =
-            jportal_par::par_map_owned_metered(
-                workers,
-                grouped,
-                &level1.par_metrics,
-                |_, (thread, views, projection)| {
-                    self.assemble_thread(thread, views, projection, inner_workers, harvesting)
-                },
-            );
+        let assembled: Vec<(ThreadReport, ThreadQuality)> = jportal_par::par_map_owned_metered(
+            workers,
+            grouped,
+            &level1.par_metrics,
+            |_, (thread, views, projection)| {
+                self.assemble_thread(thread, views, projection, inner_workers)
+            },
+        );
         let mut threads = Vec::with_capacity(assembled.len());
         let mut quality = QualityReport::default();
-        for (t, q, h) in assembled {
-            // Harvest inserts happen here — after the join, in sorted
-            // thread order — so the builder's segment order (and the
-            // index built from it) is identical at any worker count.
-            if let (Some(builder), Some(segs)) = (harvest.as_deref_mut(), h) {
-                for (syms, locs, breaks) in segs {
-                    builder.insert(&syms, &locs, &breaks);
-                }
-            }
+        for (t, q) in assembled {
             threads.push(t);
             quality.threads.push(q);
         }
@@ -584,26 +516,6 @@ impl<'p> JPortal<'p> {
                 .add(sum(|t| t.recovery.fallback_walks));
             reg.counter("core.recover.budget_truncations")
                 .add(sum(|t| t.recovery.budget_truncations));
-            reg.counter("core.corpus.lookups")
-                .add(sum(|t| t.recovery.corpus_lookups));
-            reg.counter("core.corpus.candidates")
-                .add(sum(|t| t.recovery.corpus_candidates));
-            reg.counter("core.corpus.hits")
-                .add(sum(|t| t.recovery.corpus_hits));
-            reg.counter("core.corpus.misses")
-                .add(sum(|t| t.recovery.corpus_misses));
-            if let Some(corpus) = self.corpus.as_deref() {
-                reg.gauge("core.corpus.segments")
-                    .set_max(corpus.segment_count() as u64);
-            }
-            if let Some(builder) = harvest.as_ref() {
-                // Builder lifetime totals (may span several analyses):
-                // gauges, not counters, so re-recording never inflates.
-                reg.gauge("core.corpus.harvest_inserted")
-                    .set_max(builder.inserted());
-                reg.gauge("core.corpus.harvest_deduped")
-                    .set_max(builder.deduped());
-            }
             reg.gauge_as("cfg.dfa.interned", Determinism::Scheduling)
                 .set_max(anfa.dfa_stats().interned);
         }
@@ -770,8 +682,7 @@ impl<'p> JPortal<'p> {
         views: Vec<SegmentView>,
         projection: ProjectionStats,
         recovery_workers: usize,
-        harvest: bool,
-    ) -> (ThreadReport, ThreadQuality, Option<Vec<HarvestSeg>>) {
+    ) -> (ThreadReport, ThreadQuality) {
         let obs = &self.obs;
         let _assemble = obs
             .span("recover", "assemble_thread")
@@ -849,36 +760,6 @@ impl<'p> JPortal<'p> {
             (entries, self.lint_thread(thread, &steps))
         };
 
-        // Harvest this thread's decoded complete segments for the
-        // persistent corpus: locations resolved exactly as the emitted
-        // entries above (projected node first, raw decode fallback), so
-        // a corpus fill reproduces what in-run recovery would emit.
-        let harvested = harvest.then(|| {
-            compacted
-                .iter()
-                .map(|seg| {
-                    let syms: Vec<Sym> = seg.events.iter().map(|e| e.sym).collect();
-                    let locs: Vec<u64> = seg
-                        .events
-                        .iter()
-                        .zip(&seg.nodes)
-                        .map(|(e, node)| {
-                            let (m, b) = match node {
-                                Some(n) => {
-                                    let (m, b) = self.icfg.location(*n);
-                                    (Some(m), Some(b))
-                                }
-                                None => (e.method, e.bci),
-                            };
-                            jportal_corpus::pack_loc(m.map(|m| m.0), b.map(|b| b.0))
-                        })
-                        .collect();
-                    let breaks: Vec<u32> = seg.breaks.iter().map(|&i| i as u32).collect();
-                    (syms, locs, breaks)
-                })
-                .collect()
-        });
-
         (
             ThreadReport {
                 thread,
@@ -893,7 +774,6 @@ impl<'p> JPortal<'p> {
                 thread,
                 fills: quality,
             },
-            harvested,
         )
     }
 
@@ -977,13 +857,11 @@ impl<'p> JPortal<'p> {
             static FILL_SCRATCH: RefCell<FillScratch> = RefCell::new(FillScratch::new());
         }
         let obs = &self.obs;
-        let mut recovery = Recovery::new(self.program, &self.icfg, compacted, self.config.recovery)
-            .with_dominators(&self.analysis);
-        if self.config.corpus {
-            if let Some(corpus) = self.corpus.as_deref() {
-                recovery = recovery.with_corpus(corpus);
-            }
-        }
+        let recovery = {
+            let _index = obs.span("recover", "index");
+            Recovery::new(self.program, &self.icfg, compacted, self.config.recovery)
+                .with_dominators(&self.analysis)
+        };
         let fill_sketch = obs.registry().sketch("core.recover.fill_wall_us");
         let scratch_hw = obs
             .registry()

@@ -18,14 +18,14 @@
 
 use jportal_analysis::{AnalysisIndex, LintStep, SummaryTable};
 use jportal_bytecode::{Bci, MethodId, OpKind, Program};
-use jportal_cfg::{FxHashMap, Icfg, NodeId, Sym, Tier};
-use jportal_corpus::pack::{load8_ops, suffix_swar, PackedSyms};
-use jportal_corpus::Corpus;
+use jportal_cfg::{FxHashMap, FxHasher, Icfg, NodeId, Sym, Tier};
 use jportal_ipt::ring::LossRecord;
 use jportal_obs::{CandidateOutcome, Journal, JournalEvent, JournalRecorder};
 use std::collections::VecDeque;
+use std::hash::Hasher;
 
 use crate::decode::BcEvent;
+use crate::pack::{load8_ops, suffix_swar, PackedSyms};
 
 /// Where a reconstructed trace entry came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -152,20 +152,6 @@ pub struct RecoveryStats {
     /// timestamp budget (the scan saw less than the candidate's full
     /// suffix, so a confirmation may have been missed).
     pub budget_truncations: usize,
-    /// Holes that consulted the persistent segment corpus (only holes
-    /// no in-run candidate could confirm — the corpus is a secondary
-    /// source, so attaching one never changes an in-run fill).
-    pub corpus_lookups: usize,
-    /// Corpus candidates returned by the sharded anchor index across
-    /// all lookups.
-    pub corpus_candidates: usize,
-    /// Corpus lookups whose winning candidate confirmed and filled the
-    /// hole (these holes also count in
-    /// [`RecoveryStats::filled_from_cs`]).
-    pub corpus_hits: usize,
-    /// Corpus lookups that found no confirmable candidate (the hole
-    /// fell through to the fallback walk).
-    pub corpus_misses: usize,
 }
 
 impl RecoveryStats {
@@ -183,10 +169,6 @@ impl RecoveryStats {
         self.summary_pruned += other.summary_pruned;
         self.fallback_walks += other.fallback_walks;
         self.budget_truncations += other.budget_truncations;
-        self.corpus_lookups += other.corpus_lookups;
-        self.corpus_candidates += other.corpus_candidates;
-        self.corpus_hits += other.corpus_hits;
-        self.corpus_misses += other.corpus_misses;
     }
 
     /// Fraction of considered candidates rejected by the tier-1
@@ -396,8 +378,8 @@ impl IndexedSegment {
     /// Every tier runs the SWAR kernel, eight symbols per step, on its
     /// own packed stream: the packed `compat` (equal op byte,
     /// non-contradicting 2-bit dir codes) is exactly `sym_compat`. The
-    /// kernel is pinned to the scalar backward scan by the corpus
-    /// crate's `swar_equivalence` suite, and the tier streams to the
+    /// kernel is pinned to the scalar backward scan by the
+    /// `swar_equivalence` suite, and the tier streams to the
     /// position-list scan ([`IndexedSegment::tier_suffix_reference`]) by
     /// this module's tests.
     fn tier_suffix(
@@ -476,7 +458,7 @@ fn push_ranked(best: &mut Vec<(Candidate, usize)>, entry: (Candidate, usize), to
 }
 
 /// Key of the anchor index: the opcode sequence of an anchor window,
-/// always one `Copy` word (see [`jportal_corpus::anchor_key`]).
+/// always one `Copy` word.
 ///
 /// Anchors are short (`anchor_len` defaults to 3), so the common case
 /// packs the opcodes into one `u64` — `OpKind` is `#[repr(u8)]` — and a
@@ -490,8 +472,23 @@ fn push_ranked(best: &mut Vec<(Candidate, usize)>, entry: (Candidate, usize), to
 struct AnchorKey(u64);
 
 impl AnchorKey {
+    /// `(op + 1)` bytes folded big-endian for windows of up to eight
+    /// ops (so a leading opcode 0 is distinguishable from absence), an
+    /// Fx hash of the op bytes for longer windows.
     fn of(anchor: &[Sym]) -> AnchorKey {
-        AnchorKey(jportal_corpus::anchor_key(anchor))
+        if anchor.len() <= 8 {
+            let mut packed = 0u64;
+            for s in anchor {
+                packed = (packed << 8) | (s.op as u64 + 1);
+            }
+            AnchorKey(packed)
+        } else {
+            let mut h = FxHasher::default();
+            for s in anchor {
+                h.write_u8(s.op as u8);
+            }
+            AnchorKey(h.finish())
+        }
     }
 }
 
@@ -603,9 +600,6 @@ impl AnchorIndex {
 pub struct FillScratch {
     parent: FxHashMap<NodeId, NodeId>,
     queue: VecDeque<(NodeId, usize)>,
-    /// Corpus candidate buffer, reused across holes so the corpus
-    /// lookup path stays allocation-free per hole.
-    corpus_cands: Vec<jportal_corpus::CorpusCandidate>,
 }
 
 impl FillScratch {
@@ -713,9 +707,6 @@ pub struct Recovery<'a> {
     cfg: RecoveryConfig,
     /// Per-method dominator facts for anchor ranking (optional).
     doms: Option<&'a AnalysisIndex>,
-    /// Persistent cross-run segment corpus, consulted as a **secondary**
-    /// candidate source (optional; see [`Recovery::with_corpus`]).
-    corpus: Option<&'a Corpus>,
     indexed: Vec<IndexedSegment>,
     /// Anchor index: packed op-kind key → candidate positions.
     anchor_index: AnchorIndex,
@@ -736,24 +727,9 @@ impl<'a> Recovery<'a> {
             icfg,
             cfg,
             doms: None,
-            corpus: None,
             indexed,
             anchor_index,
         }
-    }
-
-    /// Attaches a persistent segment corpus as a **secondary** candidate
-    /// source: for a hole, the corpus is consulted only after every
-    /// in-run candidate fails the confirm scan, and before the fallback
-    /// walk. In-run fills are therefore byte-identical with or without a
-    /// corpus attached — what the corpus changes is holes that would
-    /// otherwise degrade to a low-confidence walk or stay unfilled, which
-    /// is why fill rate and mean confidence are non-decreasing in corpus
-    /// size. Ignored (with a miss-free stats profile) when the corpus was
-    /// indexed for a different `anchor_len` than this engine's.
-    pub fn with_corpus(mut self, corpus: &'a Corpus) -> Recovery<'a> {
-        self.corpus = Some(corpus);
-        self
     }
 
     /// Supplies per-method dominator facts. When present, candidates with
@@ -1136,16 +1112,6 @@ impl<'a> Recovery<'a> {
             }
         }
 
-        // Secondary source: the persistent cross-run corpus, consulted
-        // only now that every in-run candidate has failed to confirm —
-        // so attaching a corpus never changes an in-run fill, and a
-        // growing corpus can only upgrade walk/unfilled holes.
-        if let Some(fill) = self.corpus_fill(
-            segments, is_seg, post_seg, loss, budget, estimate, stats, scratch, recorder, hole,
-        ) {
-            return fill;
-        }
-
         // Fallback: walk the ICFG between the surrounding nodes.
         stats.fallback_walks += 1;
         if let Some(mut fill) = self.walk_fill(segments, is_seg, post_seg, loss, scratch) {
@@ -1162,168 +1128,6 @@ impl<'a> Recovery<'a> {
         stats.unfilled += 1;
         recorder.emit(JournalEvent::HoleUnfilled { hole });
         Fill::default()
-    }
-
-    /// Tries to fill the hole from the persistent corpus: candidates
-    /// come from the corpus's sharded anchor index
-    /// (O(candidates-for-anchor) regardless of corpus size), are ranked
-    /// by the SWAR common suffix against the IS, and the top-N run the
-    /// same confirm scan as in-run candidates. Returns `None` — falling
-    /// through to the walk — when no corpus is attached, its anchor
-    /// length differs from the engine's, or nothing confirms.
-    #[allow(clippy::too_many_arguments)]
-    fn corpus_fill(
-        &self,
-        segments: &[SegmentView],
-        is_seg: usize,
-        post_seg: usize,
-        loss: Option<LossRecord>,
-        budget: usize,
-        estimate: f64,
-        stats: &mut RecoveryStats,
-        scratch: &mut FillScratch,
-        recorder: &mut JournalRecorder<'_>,
-        hole: u32,
-    ) -> Option<Fill> {
-        let corpus = self.corpus?;
-        let x = self.cfg.anchor_len;
-        if corpus.anchor_len() != x || self.indexed[is_seg].syms.len() < x {
-            return None;
-        }
-        let is = &self.indexed[is_seg];
-        let post = &self.indexed[post_seg];
-        let anchor = &is.syms[is.syms.len() - x..];
-        corpus.candidates_into(anchor, &mut scratch.corpus_cands);
-        stats.corpus_lookups += 1;
-        stats.corpus_candidates += scratch.corpus_cands.len();
-
-        // Rank by SWAR common suffix, index order breaking ties — the
-        // corpus candidate order is deterministic, so the ranking is too.
-        let mut ranked: Vec<((u32, u32), usize)> = scratch
-            .corpus_cands
-            .iter()
-            .map(|&(seg, end)| {
-                let v = corpus.segment(seg);
-                let score = suffix_swar(
-                    &is.packed.ops,
-                    &is.packed.dirs,
-                    is.syms.len(),
-                    v.ops,
-                    v.dirs,
-                    end as usize + 1,
-                    usize::MAX,
-                );
-                ((seg, end), score)
-            })
-            .collect();
-        ranked.sort_by_key(|&(_, score)| std::cmp::Reverse(score));
-        ranked.truncate(self.cfg.top_n);
-
-        let y = self.cfg.confirm_len;
-        let post_window = &post.syms[..y.min(post.syms.len())];
-        if !(y >= 1 && post_window.is_empty()) {
-            for (idx, &((seg, end), score)) in ranked.iter().enumerate() {
-                let v = corpus.segment(seg);
-                let suffix_start = end as usize + 1;
-                let available = v.len - suffix_start;
-                let max_fill = budget.min(available);
-                if max_fill < available {
-                    stats.budget_truncations += 1;
-                }
-                let mut found: Option<usize> = None;
-                for d in 0..=max_fill {
-                    let from = suffix_start + d;
-                    if from + post_window.len() > v.len {
-                        break;
-                    }
-                    if post_window
-                        .iter()
-                        .enumerate()
-                        .all(|(k, &s)| sym_compat(v.sym(from + k), s))
-                    {
-                        found = Some(d);
-                        break;
-                    }
-                }
-                let Some(d) = found else { continue };
-                let mut fill = Fill::default();
-                let (t0, t1) = match loss {
-                    Some(l) => (l.first_ts, l.last_ts),
-                    None => {
-                        let t = segments[is_seg].events.last().map(|e| e.ts).unwrap_or(0);
-                        (t, t)
-                    }
-                };
-                for k in 0..d {
-                    let i = suffix_start + k;
-                    let s = v.sym(i);
-                    let (m, b) = v.loc(i);
-                    let ts = if d > 1 {
-                        t0 + (t1 - t0) * k as u64 / (d as u64 - 1).max(1)
-                    } else {
-                        t0
-                    };
-                    fill.entries.push(TraceEntry {
-                        op: s.op,
-                        method: m.map(MethodId),
-                        bci: b.map(Bci),
-                        ts,
-                        origin: TraceOrigin::Recovered,
-                    });
-                    // Corpus entries carry no ICFG node (the corpus
-                    // outlives any one projection), so the linter grades
-                    // them like unlocated splices; seams carry over from
-                    // the corpus segment's recorded projection breaks.
-                    let boundary = k == 0 || v.breaks.binary_search(&(i as u32)).is_ok();
-                    fill.steps.push(LintStep {
-                        node: None,
-                        op: s.op,
-                        dir: s.dir,
-                        boundary,
-                        lossy: boundary,
-                    });
-                }
-                let runner_up = if idx == 0 {
-                    ranked.get(1).map(|&(_, s)| s).unwrap_or(0)
-                } else {
-                    ranked[0].1
-                };
-                let sole = ranked.len() == 1;
-                fill.confidence = cs_confidence(
-                    score,
-                    runner_up,
-                    sole,
-                    max_fill,
-                    available,
-                    fill.entries.len(),
-                    estimate,
-                );
-                stats.corpus_hits += 1;
-                stats.filled_from_cs += 1;
-                stats.recovered_events += fill.entries.len();
-                recorder.emit(JournalEvent::CorpusLookup {
-                    hole,
-                    candidates: scratch.corpus_cands.len() as u32,
-                    hit: true,
-                    cs_segment: seg,
-                    score: score.min(u32::MAX as usize) as u32,
-                    fill_len: fill.entries.len() as u32,
-                    confidence_ppm: ppm(fill.confidence),
-                });
-                return Some(fill);
-            }
-        }
-        stats.corpus_misses += 1;
-        recorder.emit(JournalEvent::CorpusLookup {
-            hole,
-            candidates: scratch.corpus_cands.len() as u32,
-            hit: false,
-            cs_segment: 0,
-            score: 0,
-            fill_len: 0,
-            confidence_ppm: 0,
-        });
-        None
     }
 
     /// Stable dominator-informed re-rank of the candidate list (see
@@ -1883,7 +1687,7 @@ mod tests {
             (ops, 0u8..3).prop_map(|(op, d)| Sym {
                 op,
                 dir: if op == OpKind::Ifeq {
-                    jportal_corpus::pack::dir_from_code(d)
+                    crate::pack::dir_from_code(d)
                 } else {
                     BranchDir::Unknown
                 },

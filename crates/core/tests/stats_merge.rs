@@ -47,10 +47,6 @@ fn random_recovery(rng: &mut Rng) -> RecoveryStats {
         summary_pruned: rng.small(),
         fallback_walks: rng.small(),
         budget_truncations: rng.small(),
-        corpus_lookups: rng.small(),
-        corpus_candidates: rng.small(),
-        corpus_hits: rng.small(),
-        corpus_misses: rng.small(),
     }
 }
 

@@ -1,7 +1,7 @@
 //! Pins the SWAR suffix kernel byte-identical to the scalar oracle.
 //!
 //! `suffix_scalar` is the seed `tier_suffix` Concrete-tier scan kept
-//! verbatim; recovery ranks every candidate — in-run and corpus — with
+//! verbatim; recovery scores every candidate, at every tier, with
 //! `suffix_swar`, so any divergence would silently change which CS wins
 //! a hole. The properties sweep stream contents (ops, branch dirs
 //! including `Unknown`), both end cursors across word boundaries, and
@@ -13,7 +13,7 @@ use proptest::prelude::*;
 
 use jportal_bytecode::OpKind;
 use jportal_cfg::Sym;
-use jportal_corpus::pack::{dir_from_code, suffix_scalar, suffix_swar, PackedSyms};
+use jportal_core::pack::{dir_from_code, suffix_scalar, suffix_swar, PackedSyms};
 
 /// Symbol streams with a deliberately tiny op alphabet (long accidental
 /// suffixes) and all three dir codes.

@@ -185,25 +185,6 @@ pub enum JournalEvent {
         /// Hole index.
         hole: u32,
     },
-    /// Recovery consulted the persistent segment corpus for a hole no
-    /// in-run candidate could confirm (emitted only when a corpus is
-    /// attached; see `jportal-corpus`).
-    CorpusLookup {
-        /// Hole index.
-        hole: u32,
-        /// Corpus candidates returned by the sharded anchor index.
-        candidates: u32,
-        /// `true` when a corpus candidate confirmed and filled the hole.
-        hit: bool,
-        /// Winning corpus segment (0 on a miss).
-        cs_segment: u32,
-        /// Winner's SWAR common-suffix score (0 on a miss).
-        score: u32,
-        /// Entries spliced into the hole (0 on a miss).
-        fill_len: u32,
-        /// Fill confidence in parts-per-million (0 on a miss).
-        confidence_ppm: u32,
-    },
     /// The feasibility linter reported a break in this thread's
     /// reconstructed timeline.
     LintBreak {
@@ -248,7 +229,6 @@ impl JournalEvent {
             JournalEvent::CandidateChosen { .. } => "candidate_chosen",
             JournalEvent::FallbackWalk { .. } => "fallback_walk",
             JournalEvent::HoleUnfilled { .. } => "hole_unfilled",
-            JournalEvent::CorpusLookup { .. } => "corpus_lookup",
             JournalEvent::LintBreak { .. } => "lint_break",
         }
     }
@@ -341,23 +321,6 @@ impl JournalEvent {
                 ("confidence_ppm", Int(*confidence_ppm as u64)),
             ],
             JournalEvent::HoleUnfilled { hole } => vec![("hole", Int(*hole as u64))],
-            JournalEvent::CorpusLookup {
-                hole,
-                candidates,
-                hit,
-                cs_segment,
-                score,
-                fill_len,
-                confidence_ppm,
-            } => vec![
-                ("hole", Int(*hole as u64)),
-                ("candidates", Int(*candidates as u64)),
-                ("hit", Bool(*hit)),
-                ("cs_segment", Int(*cs_segment as u64)),
-                ("score", Int(*score as u64)),
-                ("fill_len", Int(*fill_len as u64)),
-                ("confidence_ppm", Int(*confidence_ppm as u64)),
-            ],
             JournalEvent::LintBreak {
                 kind,
                 index,

@@ -7,7 +7,6 @@
 //! cargo run --release --example inspect -- summarize sunflow    # one workload
 //! cargo run --release --example inspect -- explain --hole 1 sunflow
 //! cargo run --release --example inspect -- diff a.jsonl b.jsonl
-//! cargo run --release --example inspect -- corpus fop.jpcorpus --check
 //! cargo run --release --example inspect -- telemetry http://127.0.0.1:9100
 //! cargo run --release --example inspect -- telemetry target/obs/fop.metrics.json --check
 //! cargo run --release --example inspect -- profile http://127.0.0.1:9100 --top 10
@@ -61,7 +60,6 @@ const KNOWN_KINDS: &[&str] = &[
     "candidate_chosen",
     "fallback_walk",
     "hole_unfilled",
-    "corpus_lookup",
     "lint_break",
     "journal_summary",
 ];
@@ -221,52 +219,6 @@ fn explain(name: &str, hole: u32) -> Result<(), String> {
         return Err(format!(
             "{name}: no thread has a hole {hole} in its journal (try summarize first)"
         ));
-    }
-    Ok(())
-}
-
-// ------------------------------------------------------------------- corpus
-
-/// `corpus <path>`: structural tour of a persisted segment corpus —
-/// segment/arena totals, shard fill of the anchor index, and the top-10
-/// busiest anchors. With `--check`, additionally proves the durability
-/// contract: the checksum and version were already verified by the load,
-/// and re-serializing must reproduce the file byte for byte.
-fn corpus(path: &str, check: bool) -> Result<(), String> {
-    let p = std::path::Path::new(path);
-    let corpus = jportal::corpus::Corpus::load(p).map_err(|e| format!("{path}: {e}"))?;
-    let stats = corpus.stats();
-    println!("=== {path} ===");
-    println!(
-        "format v{}, anchor length {}",
-        jportal::corpus::FORMAT_VERSION,
-        corpus.anchor_len()
-    );
-    println!(
-        "{} segments, {} syms, {} arena bytes, {} distinct anchors",
-        stats.segments, stats.syms, stats.arena_bytes, stats.anchor_keys
-    );
-    let total: usize = stats.shard_fill.iter().sum();
-    print!("shard fill ({} positions):", total);
-    for (i, n) in stats.shard_fill.iter().enumerate() {
-        print!("{}{n}", if i == 0 { " " } else { " | " });
-    }
-    println!();
-    let busiest = corpus.busiest_anchors(10);
-    if !busiest.is_empty() {
-        println!("busiest anchors:");
-        for (key, n) in &busiest {
-            println!("  {:>8} positions  {}", n, corpus.spell_key(*key));
-        }
-    }
-    if check {
-        let bytes = std::fs::read(p).map_err(|e| format!("{path}: {e}"))?;
-        if corpus.to_bytes() != bytes {
-            return Err(format!(
-                "{path}: re-serialization is not byte-identical to the file"
-            ));
-        }
-        println!("check ok: magic, version, checksum, and byte round-trip all hold");
     }
     Ok(())
 }
@@ -722,7 +674,7 @@ fn main() -> ExitCode {
     if args.iter().any(|a| a == "--check")
         && !matches!(
             args.first().map(String::as_str),
-            Some("corpus") | Some("telemetry") | Some("profile")
+            Some("telemetry") | Some("profile")
         )
     {
         let names: Vec<&String> = args
@@ -772,15 +724,6 @@ fn main() -> ExitCode {
             }
             explain(&name, hole)
         }
-        "corpus" => {
-            let files: Vec<&String> = rest.iter().filter(|a| !a.starts_with("--")).collect();
-            let check = rest.iter().any(|a| a == "--check");
-            if files.len() != 1 {
-                Err("corpus needs exactly one .jpcorpus path".into())
-            } else {
-                corpus(files[0], check)
-            }
-        }
         "telemetry" => {
             let sources: Vec<&String> = rest.iter().filter(|a| !a.starts_with("--")).collect();
             let check = rest.iter().any(|a| a == "--check");
@@ -829,8 +772,8 @@ fn main() -> ExitCode {
             }
         }
         other => Err(format!(
-            "unknown command {other:?} (expected summarize, explain, corpus, telemetry, \
-             profile, diff, or --check)"
+            "unknown command {other:?} (expected summarize, explain, telemetry, profile, \
+             diff, or --check)"
         )),
     };
 

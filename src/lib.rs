@@ -34,7 +34,6 @@ pub use jportal_analysis as analysis;
 pub use jportal_bytecode as bytecode;
 pub use jportal_cfg as cfg;
 pub use jportal_core as core;
-pub use jportal_corpus as corpus;
 pub use jportal_ipt as ipt;
 pub use jportal_jvm as jvm;
 pub use jportal_obs as obs;

@@ -73,6 +73,11 @@ fn analyze(w: &Workload, r: &RunResult, parallelism: usize, observability: bool)
     }
 }
 
+/// Spans of `spans` whose structure starts with `prefix`.
+fn count_spans(spans: &[String], prefix: &str) -> usize {
+    spans.iter().filter(|s| s.starts_with(prefix)).count()
+}
+
 /// Analyzes `r` at one, two and four workers, and with observability off
 /// at one and two: every analysis must match the one-worker one, which
 /// is returned.
@@ -120,12 +125,16 @@ fn check(name: &str, scale: u32, min_holes: usize) {
         );
     }
     let holes: usize = one.report.threads.iter().map(|t| t.holes.len()).sum();
-    let fill_spans = one
-        .spans
-        .iter()
-        .filter(|s| s.starts_with("recover/assemble_thread/fill_hole"))
-        .count();
-    assert_eq!(fill_spans, holes, "{name}: one fill span per hole");
+    assert_eq!(
+        count_spans(&one.spans, "recover/assemble_thread/fill_hole"),
+        holes,
+        "{name}: one fill span per hole"
+    );
+    assert_eq!(
+        count_spans(&one.spans, "recover/assemble_thread/index"),
+        one.report.threads.len(),
+        "{name}: one recovery index build per thread with holes"
+    );
     assert_eq!(
         one.journal.matches("\"hole_opened\"").count(),
         holes,
@@ -160,6 +169,11 @@ fn long_piece_chunks_identically_at_any_worker_count() {
         panic!("sunflow: one thread expected");
     };
     assert_eq!(thread.segments, 1, "sunflow: one lossless piece");
+    assert_eq!(
+        count_spans(&one.spans, "recover/assemble_thread/index"),
+        0,
+        "sunflow: a thread without holes builds no recovery index"
+    );
     let count = |prefix: &str| {
         one.spans
             .iter()
